@@ -77,7 +77,7 @@ let cmd =
           & info [ "save" ] ~docv:"DIR" ~doc:"Write shrunk repros into $(docv)")
       $ Arg.(
           value & opt int 1_500_000
-          & info [ "max-issues" ] ~doc:"Per-run issue budget (Runaway cap)")
+          & info [ "max-issues" ] ~doc:"Per-run issue budget (the runaway cap)")
       $ Arg.(
           value & opt int 0
           & info [ "chaos" ] ~docv:"N"

@@ -89,7 +89,7 @@ let run path mode coarsen threshold warps warp_size policy seed deadline yield y
   let faults =
     match (chaos, replay) with
     | Some _, Some _ -> usage "--chaos and --replay are mutually exclusive"
-    | Some fault_seed, None -> Some (Simt.Faults.create ~seed:fault_seed ())
+    | Some fault_seed, None -> Some (Simt.Faults.create ~seed:fault_seed)
     | None, Some file -> (
       match Simt.Faults.parse_trace (read_file file) with
       | events -> Some (Simt.Faults.replay events)

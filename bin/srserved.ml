@@ -377,7 +377,7 @@ let cmd =
                  overloaded response instead of queueing")
       $ Arg.(
           value & opt int 1_500_000
-          & info [ "max-issues" ] ~doc:"Per-launch issue budget (Runaway cap)")
+          & info [ "max-issues" ] ~doc:"Per-launch issue budget (the runaway cap)")
       $ Arg.(
           value & opt int 0
           & info [ "deadline" ] ~docv:"FUEL"

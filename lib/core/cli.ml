@@ -56,8 +56,9 @@ let classify = function
   | Invalid_argument msg -> Some (Usage msg)
   | Simt.Interp.Deadlock msg -> Some (Deadlock msg)
   | Simt.Interp.Runtime_error msg -> Some (Runtime_failure msg)
-  | Simt.Interp.Runaway msg -> Some (Runtime_failure ("runaway: " ^ msg))
-  | Simt.Interp.Deadline_exceeded msg -> Some (Deadline_exceeded msg)
+  | Simt.Interp.Out_of_budget (Simt.Interp.Issue_cap, msg) ->
+    Some (Runtime_failure ("runaway: " ^ msg))
+  | Simt.Interp.Out_of_budget (Simt.Interp.Fuel, msg) -> Some (Deadline_exceeded msg)
   | _ -> None
 
 let handle f =

@@ -108,6 +108,32 @@ type compiled = {
   repair_report : repair_report option; (* present iff options.repair <> No_repair *)
 }
 
+(** {2 Stage helpers}
+
+    Also used by the fuzzer's staged pipeline, so it tests what ships. *)
+
+(** Drops every Predict hint: the PDOM-only and automatic modes ignore
+    the source's hints. *)
+val strip_hints : Ir.Types.program -> unit
+
+(** [make_priority ~applied ~interproc ~pdom] ranks barriers for
+    {!Passes.Deconflict} (§4.1): user hints beat region barriers beat
+    compiler PDOM barriers. *)
+val make_priority :
+  applied:Passes.Specrecon.applied list ->
+  interproc:Passes.Interproc.applied list ->
+  pdom:(string * int * Ir.Types.barrier) list ->
+  string ->
+  Ir.Types.barrier ->
+  int
+
+(** Every speculative barrier the passes placed, with the block holding
+    its join: the provenance srlint's dominance rule checks under. *)
+val speculative_meta :
+  applied:Passes.Specrecon.applied list ->
+  interproc:Passes.Interproc.applied list ->
+  Analysis.Barrier_safety.speculative list
+
 (** [compile options ~source] runs parse → (coarsen) → lower → threshold
     override → synchronization passes → deconfliction → verify →
     linearize.

@@ -82,27 +82,179 @@ let first_diff a b =
   in
   if Array.length a <> Array.length b then Some (min (Array.length a) (Array.length b)) else go 0
 
+exception Stop of verdict
+
+let violate kind fmt =
+  Printf.ksprintf (fun detail -> raise (Stop (Violation { kind; detail }))) fmt
+
+let show pp x = Format.asprintf "%a" pp x
+
 let round_trip ast =
   let src = Front.Pretty.to_string ast in
+  let pos p = Format.asprintf "%a" Front.Ast.pp_pos p in
   match Front.Parser.parse_string src with
   | reparsed ->
-    if Front.Pretty.equal_program ast reparsed then None
-    else Some { kind = Round_trip; detail = "re-parsed program differs structurally" }
+    if not (Front.Pretty.equal_program ast reparsed) then
+      violate Round_trip "re-parsed program differs structurally"
   | exception Front.Parser.Parse_error (p, msg) ->
-    Some
-      { kind = Round_trip;
-        detail = Format.asprintf "pretty output does not parse: %a: %s" Front.Ast.pp_pos p msg }
+    violate Round_trip "pretty output does not parse: %s: %s" (pos p) msg
   | exception Front.Lexer.Lex_error (p, msg) ->
-    Some
-      { kind = Round_trip;
-        detail = Format.asprintf "pretty output does not lex: %a: %s" Front.Ast.pp_pos p msg }
+    violate Round_trip "pretty output does not lex: %s: %s" (pos p) msg
 
-exception Stop of verdict
+(* Both builds, PDOM baseline first: the order every tier reports in. *)
+let compile_both ast =
+  try
+    List.map
+      (fun mode -> (mode, Pipeline.compile ~mode ast))
+      [ Pipeline.Baseline; Pipeline.Specrecon ]
+  with Pipeline.Stage_error (stage, msg) -> violate Stage_failure "%s: %s" stage msg
+
+(* ------------------------------------------------------------------ *)
+(* The run matrix                                                      *)
+(* ------------------------------------------------------------------ *)
 
 (* Only parameterless kernels can run under the matrix (there is nothing
    to pass for the others); the generator emits exactly those. *)
 let runnable_kernels (linear : Ir.Linear.t) =
   List.filter (fun (kf : Ir.Linear.finfo) -> kf.Ir.Linear.arity = 0) linear.Ir.Linear.kernels
+
+(* One run: a build (the program, for the input fill, and its decoded
+   code), a machine config, an entry kernel, and the label a verdict
+   names the run by. *)
+type cell = {
+  program : T.program;
+  decoded : Ir.Decoded.t;
+  config : Simt.Config.t;
+  kernel : string;
+  where : string;
+}
+
+(* The one cell enumerator: every runnable kernel of the build under
+   each [(config, where)] row, row-major — so a tier's first failure is
+   the same cell on every replay. [where] labels a cell from its kernel. *)
+let cells program (decoded : Ir.Decoded.t) rows =
+  List.concat_map
+    (fun (config, where) ->
+      List.map
+        (fun (kf : Ir.Linear.finfo) ->
+          let kernel = kf.Ir.Linear.fname in
+          { program; decoded; config; kernel; where = where kernel })
+        (runnable_kernels decoded.Ir.Decoded.linear))
+    rows
+
+(* One row per scheduler policy; [where policy kernel] labels a cell. *)
+let by_policy ~max_issues where =
+  List.map
+    (fun policy ->
+      ({ base_config with Simt.Config.policy; max_issues }, where (policy_name policy)))
+    policies
+
+type failure = Deadlocked of string | Crashed of string
+
+(* The one run classifier. Budget exhaustion is never a violation: it is
+   the fuzzer's liveness cap, and it ends the whole check as [Limit] in
+   every tier. Deadlocks and runtime errors go back to the tier, whose
+   predicates decide what they mean. *)
+let run ?faults ?race cell =
+  match
+    Simt.Interp.run ?faults ?race cell.config cell.decoded ~entry:cell.kernel ~args:[]
+      ~init_memory:(init_memory cell.program)
+  with
+  | r -> Ok r
+  | exception Simt.Interp.Deadlock msg -> Error (Deadlocked msg)
+  | exception Simt.Interp.Runtime_error msg -> Error (Crashed msg)
+  | exception Simt.Interp.Out_of_budget (_, msg) ->
+    raise (Stop (Limit (Printf.sprintf "%s: %s" cell.where msg)))
+
+(* What the tiers compare between two runs of one kernel: the memory
+   image bit for bit, and how many threads finished. *)
+type image = { snap : (bool * int) array; finished : int }
+
+let image (r : Simt.Interp.result) =
+  { snap = snapshot r.Simt.Interp.memory;
+    finished = r.Simt.Interp.metrics.Simt.Metrics.threads_finished }
+
+type difference = Finished | Address of int
+
+let difference want got =
+  if got.finished <> want.finished then Some Finished
+  else Option.map (fun a -> Address a) (first_diff want.snap got.snap)
+
+(* ------------------------------------------------------------------ *)
+(* Standard tier                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A failed run under the standard contracts: any deadlock is a
+   violation, and one srlint did not predict is also a soundness hole in
+   the checker. *)
+let standard_failure (s : Pipeline.staged) where = function
+  | Deadlocked msg when s.Pipeline.lint = [] ->
+    violate Lint_unsound "%s: simulator deadlocked but srlint was clean: %s" where msg
+  | Deadlocked msg -> violate Deadlock "%s: %s" where msg
+  | Crashed msg -> violate Runtime_error "%s: %s" where msg
+
+(* Both builds, all three schedulers, every runnable kernel, each run
+   under the shadow-memory race logger. A dynamic race on a build whose
+   static pass came back empty is race-unsound. The first run of each
+   kernel (baseline, most-threads) is its reference image, and every
+   later cell must match it. Returns the references and whether any
+   cell realized a race. *)
+let standard_matrix ~max_issues staged =
+  let reference = Hashtbl.create 4 and raced = ref false in
+  List.iter
+    (fun (mode, (s : Pipeline.staged)) ->
+      List.iter
+        (fun cell ->
+          let race =
+            Simt.Race_log.create ~size:s.Pipeline.program.T.mem_size
+              ~n_warps:cell.config.Simt.Config.n_warps ()
+          in
+          match run ~race cell with
+          | Error failure -> standard_failure s cell.where failure
+          | Ok r -> (
+            if Simt.Race_log.total race > 0 then begin
+              raced := true;
+              if s.Pipeline.race = [] then
+                violate Race_unsound
+                  "%s: shadow logger observed %d race(s) but srrace was clean; first: %s"
+                  cell.where (Simt.Race_log.total race)
+                  (match Simt.Race_log.events race with
+                  | ev :: _ -> show Simt.Race_log.pp_event ev
+                  | [] -> "(no retained events)")
+            end;
+            let got = image r in
+            match Hashtbl.find_opt reference cell.kernel with
+            | None -> Hashtbl.replace reference cell.kernel (cell.where, got)
+            | Some (ref_where, want) -> (
+              match difference want got with
+              | None -> ()
+              | Some Finished ->
+                violate Result_divergence "%s finished %d threads, %s finished %d" ref_where
+                  want.finished cell.where got.finished
+              | Some (Address addr) ->
+                violate Result_divergence "memory differs between %s and %s at address %d"
+                  ref_where cell.where addr)))
+        (cells s.Pipeline.program s.Pipeline.decoded
+           (by_policy ~max_issues (Printf.sprintf "%s/%s/%s" (Pipeline.mode_name mode)))))
+    staged;
+  (reference, !raced)
+
+(* Precision, after the whole matrix ran without deadlock under every
+   scheduler: any remaining srlint finding is a false alarm, and so is an
+   srrace finding when no cell realized a race. *)
+let spurious_findings staged ~raced =
+  (match List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.lint <> []) staged with
+  | Some (mode, s) ->
+    violate Lint_spurious "%s ran deadlock-free everywhere, yet: %s" (Pipeline.mode_name mode)
+      (show Analysis.Barrier_safety.pp_machine (List.hd s.Pipeline.lint))
+  | None -> ());
+  if not raced then
+    match List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.race <> []) staged with
+    | Some (mode, s) ->
+      violate Race_spurious "no cell of the matrix realized a race, yet %s: %s"
+        (Pipeline.mode_name mode)
+        (show Analysis.Race_safety.pp_machine (List.hd s.Pipeline.race))
+    | None -> ()
 
 (* Serve tier: the same program goes through the srserved engine — a
    cold pass (empty cache, every kernel's first sight is a miss) then a
@@ -126,23 +278,24 @@ let serve_options =
     repair = Core.Compile.No_repair;
   }
 
-let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
-  match runnable_kernels linear with
+let serve_matrix ~max_issues ast (specrecon : Pipeline.staged) =
+  let pass name =
+    cells specrecon.Pipeline.program specrecon.Pipeline.decoded
+      [ ({ base_config with Simt.Config.max_issues }, Printf.sprintf "%s pass, kernel %s" name) ]
+  in
+  match pass "cold" with
   | [] -> ()
-  | kernels ->
+  | cold ->
     let source = Front.Pretty.to_string ast in
     let server = Serve.Server.create ~cache_capacity:8 ~max_issues () in
-    let compiled =
-      try Ok (Core.Compile.compile serve_options ~source) with exn -> Error exn
-    in
-    let config = { base_config with Simt.Config.max_issues } in
+    let compiled = try Ok (Core.Compile.compile serve_options ~source) with exn -> Error exn in
     (* Mirror of the server's counter discipline: the artifact is keyed
        by source + compile fields only, so the program's first request is
        the one miss and every later request (any kernel, either pass) a
        hit. Counters advance at cache-resolution time, before the launch
        — a launch failure still consumed its hit or miss. *)
     let hits = ref 0 and misses = ref 0 in
-    let expected rid (kf : Ir.Linear.finfo) =
+    let expected rid cell =
       let oneshot () =
         match compiled with
         | Error exn -> raise exn
@@ -152,8 +305,8 @@ let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
             else begin incr hits; Sp.Hit end
           in
           let outcome =
-            Core.Runner.launch ~config ~init:Serve.Server.data_init
-              ~entry:kf.Ir.Linear.fname artifact ~args:[]
+            Core.Runner.launch ~config:cell.config ~init:init_memory ~entry:cell.kernel artifact
+              ~args:[]
           in
           let m = outcome.Core.Runner.metrics in
           Sp.Ok_run
@@ -179,344 +332,115 @@ let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
           Sp.Error { rid; code = Core.Cli.exit_code outcome; kind; msg }
         | None -> raise exn)
     in
-    let n = List.length kernels in
-    List.iter
-      (fun pass ->
-        let reqs =
-          List.mapi (fun i kf -> ((pass * n) + i, kf)) kernels
-        in
+    let n = List.length cold in
+    List.iteri
+      (fun pass batch ->
+        let reqs = List.mapi (fun i cell -> ((pass * n) + i, cell)) batch in
         let actual =
           Serve.Server.submit server
             (List.map
-               (fun (rid, (kf : Ir.Linear.finfo)) ->
+               (fun (rid, cell) ->
                  Sp.Run
-                   (Sp.make_request ~id:rid ~warps:base_config.Simt.Config.n_warps
-                      ~seed:base_config.Simt.Config.seed ~entry:kf.Ir.Linear.fname
-                      ~init:"data" ~source ()))
+                   (Sp.make_request ~id:rid ~warps:cell.config.Simt.Config.n_warps
+                      ~seed:cell.config.Simt.Config.seed ~entry:cell.kernel ~init:"data"
+                      ~source ()))
                reqs)
         in
         List.iter2
-          (fun (rid, (kf : Ir.Linear.finfo)) got ->
-            let got = Sp.print_response got and want = Sp.print_response (expected rid kf) in
+          (fun (rid, cell) got ->
+            let got = Sp.print_response got and want = Sp.print_response (expected rid cell) in
             if not (String.equal got want) then
-              raise
-                (Stop
-                   (Violation
-                      {
-                        kind = Serve_mismatch;
-                        detail =
-                          Printf.sprintf
-                            "%s pass, kernel %s: served response differs from the one-shot \
-                             pipeline\n  served:   %s\n  one-shot: %s"
-                            (if pass = 0 then "cold" else "warm")
-                            kf.Ir.Linear.fname got want;
-                      })))
+              violate Serve_mismatch
+                "%s: served response differs from the one-shot pipeline\n\
+                \  served:   %s\n\
+                \  one-shot: %s"
+                cell.where got want)
           reqs actual)
-      [ 0; 1 ]
+      [ cold; pass "warm" ]
 
 (* Chaos tier: a lint-clean program already proven mode- and
    schedule-independent by the main matrix must ALSO survive fault
    injection — scheduler perturbations, memory-latency spikes, spurious
    releases, forced stalls — with yield recovery on, and still produce
-   memory bit-identical to the unfaulted PDOM baseline. Generated
-   programs are schedule-independent by construction and spurious
-   releases only shrink participation, so any divergence is a simulator
-   bug; and a checker-clean program can never truly stall, so any yield
-   the watchdog fires is a false stall detection ({!Spurious_yield}) —
-   the runtime-side cross-validation of srlint. *)
-let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipeline.staged) list)
-    =
-  let _, specrecon = List.find (fun (m, _) -> m = Pipeline.Specrecon) staged in
-  let _, baseline = List.find (fun (m, _) -> m = Pipeline.Baseline) staged in
-  List.iteri
-    (fun ki (kf : Ir.Linear.finfo) ->
-      let run_baseline () =
-        let config = { base_config with Simt.Config.max_issues } in
-        Simt.Interp.run config baseline.Pipeline.decoded ~entry:kf.Ir.Linear.fname ~args:[]
-          ~init_memory:(init_memory baseline.Pipeline.program)
-      in
-      let reference =
-        try
-          let r = run_baseline () in
-          (snapshot r.Simt.Interp.memory, r.Simt.Interp.metrics.Simt.Metrics.threads_finished)
-        with Simt.Interp.Runaway msg ->
-          raise (Stop (Limit (Printf.sprintf "chaos baseline/%s: %s" kf.Ir.Linear.fname msg)))
-      in
-      for plan = 0 to chaos - 1 do
-        let policy = List.nth policies (plan mod List.length policies) in
-        let where =
-          Printf.sprintf "chaos plan %d (%s) kernel %s" plan (policy_name policy)
-            kf.Ir.Linear.fname
-        in
-        let fault_seed =
-          let rng = Sm.of_ints chaos_seed plan ki in
-          Sm.int rng 0x3fffffff
-        in
-        let faults = Simt.Faults.create ~seed:fault_seed () in
-        let config =
-          { base_config with
-            Simt.Config.policy;
-            max_issues;
-            yield_on_stall = true;
-            yield_policy = Simt.Config.Oldest_arrival }
-        in
-        (* Re-execute under a replayed (sub)trace — the trace shrinker's
-           predicate runner. *)
-        let replay_run events =
-          let f = Simt.Faults.replay events in
-          match
-            Simt.Interp.run ~faults:f config specrecon.Pipeline.decoded
-              ~entry:kf.Ir.Linear.fname ~args:[]
-              ~init_memory:(init_memory specrecon.Pipeline.program)
-          with
-          | r -> Some r
-          | exception (Simt.Interp.Deadlock _ | Simt.Interp.Runtime_error _ | Simt.Interp.Runaway _)
-            ->
-            None
-        in
+   memory bit-identical to the unfaulted PDOM baseline: the standard
+   matrix's reference image for the kernel. Generated programs are
+   schedule-independent by construction and spurious releases only
+   shrink participation, so any divergence is a simulator bug; and a
+   checker-clean program can never truly stall, so any yield the
+   watchdog fires is a false stall detection ({!Spurious_yield}) — the
+   runtime-side cross-validation of srlint. *)
+let chaos_matrix ~max_issues ~chaos ~chaos_seed ~reference (specrecon : Pipeline.staged) =
+  for plan = 0 to chaos - 1 do
+    let policy = List.nth policies (plan mod List.length policies) in
+    let config =
+      { base_config with
+        Simt.Config.policy;
+        max_issues;
+        yield_on_stall = true;
+        yield_policy = Simt.Config.Oldest_arrival }
+    in
+    List.iteri
+      (fun ki cell ->
+        let fault_seed = Sm.int (Sm.of_ints chaos_seed plan ki) 0x3fffffff in
+        let faults = Simt.Faults.create ~seed:fault_seed in
         (* The minimal sub-trace still provoking [pred]: what the
            violation detail prints, so a repro starts from the fewest
            faults that matter (each candidate costs a simulation, hence
            the small budget). *)
-        let minimal_trace faults pred =
-          Shrink.shrink_trace ~budget:48 (Simt.Faults.events faults)
-            ~still_failing:(fun evs ->
-              match replay_run evs with Some r -> pred r | None -> false)
+        let minimal_trace pred =
+          Simt.Faults.trace_to_string
+            (Shrink.shrink_trace ~budget:48 (Simt.Faults.events faults) ~still_failing:(fun evs ->
+                 match run ~faults:(Simt.Faults.replay evs) cell with
+                 | Ok r -> pred r
+                 | Error _ | (exception Stop _) -> false))
         in
-        let result =
-          try
-            Simt.Interp.run ~faults config specrecon.Pipeline.decoded
-              ~entry:kf.Ir.Linear.fname ~args:[]
-              ~init_memory:(init_memory specrecon.Pipeline.program)
-          with
-          | Simt.Interp.Deadlock msg ->
-            raise
-              (Stop
-                 (Violation
-                    { kind = Chaos_divergence;
-                      detail =
-                        Printf.sprintf "%s: deadlock despite yield recovery: %s" where msg }))
-          | Simt.Interp.Runtime_error msg ->
-            raise
-              (Stop
-                 (Violation
-                    { kind = Chaos_divergence;
-                      detail = Printf.sprintf "%s: runtime error under faults: %s" where msg }))
-          | Simt.Interp.Runaway msg -> raise (Stop (Limit (Printf.sprintf "%s: %s" where msg)))
+        let r =
+          match run ~faults cell with
+          | Ok r -> r
+          | Error (Deadlocked msg) ->
+            violate Chaos_divergence "%s: deadlock despite yield recovery: %s" cell.where msg
+          | Error (Crashed msg) ->
+            violate Chaos_divergence "%s: runtime error under faults: %s" cell.where msg
         in
-        let yields = result.Simt.Interp.metrics.Simt.Metrics.yields in
+        let yields = r.Simt.Interp.metrics.Simt.Metrics.yields in
         if yields > 0 then
-          raise
-            (Stop
-               (Violation
-                  { kind = Spurious_yield;
-                    detail =
-                      Printf.sprintf
-                        "%s: %d yield(s) on a checker-clean program (fault seed %d, minimal \
-                         trace:\n\
-                         %s)"
-                        where yields fault_seed
-                        (Simt.Faults.trace_to_string
-                           (minimal_trace faults (fun r ->
-                                r.Simt.Interp.metrics.Simt.Metrics.yields > 0))) }));
-        let ref_snap, ref_finished = reference in
-        let finished = result.Simt.Interp.metrics.Simt.Metrics.threads_finished in
-        if finished <> ref_finished then
-          raise
-            (Stop
-               (Violation
-                  { kind = Chaos_divergence;
-                    detail =
-                      Printf.sprintf
-                        "%s: finished %d threads, unfaulted baseline finished %d (fault seed \
-                         %d)"
-                        where finished ref_finished fault_seed }));
-        match first_diff ref_snap (snapshot result.Simt.Interp.memory) with
+          violate Spurious_yield
+            "%s: %d yield(s) on a checker-clean program (fault seed %d, minimal trace:\n%s)"
+            cell.where yields fault_seed
+            (minimal_trace (fun r -> r.Simt.Interp.metrics.Simt.Metrics.yields > 0));
+        let _, want = Hashtbl.find reference cell.kernel in
+        let got = image r in
+        match difference want got with
         | None -> ()
-        | Some addr ->
-          raise
-            (Stop
-               (Violation
-                  { kind = Chaos_divergence;
-                    detail =
-                      Printf.sprintf
-                        "%s: memory differs from unfaulted baseline at address %d (fault seed \
-                         %d, minimal trace:\n%s)"
-                        where addr fault_seed
-                        (Simt.Faults.trace_to_string
-                           (minimal_trace faults (fun r ->
-                                first_diff ref_snap (snapshot r.Simt.Interp.memory) <> None))) }))
-      done)
-    (runnable_kernels specrecon.Pipeline.linear)
+        | Some Finished ->
+          violate Chaos_divergence
+            "%s: finished %d threads, unfaulted baseline finished %d (fault seed %d)" cell.where
+            got.finished want.finished fault_seed
+        | Some (Address addr) ->
+          violate Chaos_divergence
+            "%s: memory differs from unfaulted baseline at address %d (fault seed %d, minimal \
+             trace:\n\
+             %s)"
+            cell.where addr fault_seed
+            (minimal_trace (fun r -> difference want (image r) <> None)))
+      (cells specrecon.Pipeline.program specrecon.Pipeline.decoded
+         [ (config, Printf.sprintf "chaos plan %d (%s) kernel %s" plan (policy_name policy)) ])
+  done
+
+let guard f = try f () with Stop v -> v
 
 let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
-  match round_trip ast with
-  | Some v -> Violation v
-  | None -> (
-    let compiled =
-      try
-        Ok
-          (List.map
-             (fun mode -> (mode, Pipeline.compile ~mode ast))
-             [ Pipeline.Baseline; Pipeline.Specrecon ])
-      with Pipeline.Stage_error (stage, msg) ->
-        Error { kind = Stage_failure; detail = Printf.sprintf "%s: %s" stage msg }
-    in
-    match compiled with
-    | Error v -> Violation v
-    | Ok staged -> (
-      (* Per-kernel reference row: every (mode, policy) cell must match
-         the first run of the same kernel. *)
-      let reference = Hashtbl.create 4 in
-      (* The race differential: every matrix cell runs under the
-         shadow-memory logger. A dynamic race on a mode whose static
-         pass came back empty is a soundness hole (race-unsound, caught
-         at the cell); a static finding on a program no cell of the
-         whole matrix — both modes, all three schedulers — dynamically
-         realizes is a false alarm (race-spurious, checked after the
-         matrix). *)
-      let dynamic_race = ref false in
-      try
-        List.iter
-          (fun (mode, (s : Pipeline.staged)) ->
-            List.iter
-              (fun policy ->
-                List.iter
-                  (fun (kf : Ir.Linear.finfo) ->
-                    let kname = kf.Ir.Linear.fname in
-                    let where =
-                      Printf.sprintf "%s/%s/%s" (Pipeline.mode_name mode) (policy_name policy)
-                        kname
-                    in
-                    let config = { base_config with Simt.Config.policy; max_issues } in
-                    let race_log =
-                      Simt.Race_log.create ~size:s.Pipeline.program.T.mem_size
-                        ~n_warps:config.Simt.Config.n_warps ()
-                    in
-                    let result =
-                      try
-                        Simt.Interp.run ~race:race_log config s.decoded ~entry:kname ~args:[]
-                          ~init_memory:(init_memory s.program)
-                      with
-                      | Simt.Interp.Deadlock msg ->
-                        (* Any deadlock is a violation; one srlint failed
-                           to predict is also a soundness hole in the
-                           checker. *)
-                        let kind, msg =
-                          if s.Pipeline.lint = [] then
-                            ( Lint_unsound,
-                              Printf.sprintf "simulator deadlocked but srlint was clean: %s" msg
-                            )
-                          else (Deadlock, msg)
-                        in
-                        raise
-                          (Stop
-                             (Violation { kind; detail = Printf.sprintf "%s: %s" where msg }))
-                      | Simt.Interp.Runtime_error msg ->
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Runtime_error;
-                                  detail = Printf.sprintf "%s: %s" where msg }))
-                      | Simt.Interp.Runaway msg ->
-                        raise (Stop (Limit (Printf.sprintf "%s: %s" where msg)))
-                    in
-                    let snap = snapshot result.Simt.Interp.memory in
-                    let finished =
-                      result.Simt.Interp.metrics.Simt.Metrics.threads_finished
-                    in
-                    if Simt.Race_log.total race_log > 0 then begin
-                      dynamic_race := true;
-                      if s.Pipeline.race = [] then
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Race_unsound;
-                                  detail =
-                                    Printf.sprintf
-                                      "%s: shadow logger observed %d race(s) but srrace was \
-                                       clean; first: %s"
-                                      where
-                                      (Simt.Race_log.total race_log)
-                                      (match Simt.Race_log.events race_log with
-                                      | ev :: _ ->
-                                        Format.asprintf "%a" Simt.Race_log.pp_event ev
-                                      | [] -> "(no retained events)") }))
-                    end;
-                    match Hashtbl.find_opt reference kname with
-                    | None -> Hashtbl.replace reference kname (where, snap, finished)
-                    | Some (ref_where, ref_snap, ref_finished) ->
-                      if finished <> ref_finished then
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Result_divergence;
-                                  detail =
-                                    Printf.sprintf "%s finished %d threads, %s finished %d"
-                                      ref_where ref_finished where finished }));
-                      (match first_diff ref_snap snap with
-                      | None -> ()
-                      | Some addr ->
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Result_divergence;
-                                  detail =
-                                    Printf.sprintf
-                                      "memory differs between %s and %s at address %d" ref_where
-                                      where addr }))))
-                  (runnable_kernels s.linear))
-              policies)
-          staged;
-        (* Precision side of the soundness oracle: the whole matrix
-           completed without deadlock under every scheduler, so any
-           remaining finding is a false alarm. *)
-        match
-          List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.lint <> []) staged
-        with
-        | Some (mode, s) ->
-          let f = List.hd s.Pipeline.lint in
-          Violation
-            {
-              kind = Lint_spurious;
-              detail =
-                Printf.sprintf "%s ran deadlock-free everywhere, yet: %s"
-                  (Pipeline.mode_name mode)
-                  (Format.asprintf "%a" Analysis.Barrier_safety.pp_machine f);
-            }
-        | None -> (
-          (* Race precision: the whole matrix ran with the shadow
-             logger armed — both modes, all three schedulers — and no
-             cell realized a race, so a surviving static race finding
-             is a false alarm. *)
-          match
-            (if !dynamic_race then None
-             else
-               List.find_opt
-                 (fun (_, (s : Pipeline.staged)) -> s.Pipeline.race <> [])
-                 staged)
-          with
-          | Some (mode, s) ->
-            let f = List.hd s.Pipeline.race in
-            Violation
-              {
-                kind = Race_spurious;
-                detail =
-                  Printf.sprintf "no cell of the matrix realized a race, yet %s: %s"
-                    (Pipeline.mode_name mode)
-                    (Format.asprintf "%a" Analysis.Race_safety.pp_machine f);
-              }
-          | None ->
-          (* Serve tier: clean programs must come back from the batched
-             service byte-identical to the one-shot pipeline, cold and
-             warm. *)
-          let _, specrecon = List.find (fun (m, _) -> m = Pipeline.Specrecon) staged in
-          serve_matrix ~max_issues ast specrecon.Pipeline.linear;
-          (* Only lint-clean programs reach the chaos tier, so the
-             zero-yields contract applies unconditionally. *)
-          if chaos > 0 then chaos_matrix ~max_issues ~chaos ~chaos_seed staged;
-          Ok_run)
-      with Stop v -> v))
+  guard (fun () ->
+      round_trip ast;
+      let staged = compile_both ast in
+      let reference, raced = standard_matrix ~max_issues staged in
+      spurious_findings staged ~raced;
+      let specrecon = List.assoc Pipeline.Specrecon staged in
+      serve_matrix ~max_issues ast specrecon;
+      (* Only lint-clean programs reach the chaos tier, so the
+         zero-yields contract applies unconditionally. *)
+      if chaos > 0 then chaos_matrix ~max_issues ~chaos ~chaos_seed ~reference specrecon;
+      Ok_run)
 
 (* ------------------------------------------------------------------ *)
 (* Repair tier                                                         *)
@@ -537,168 +461,93 @@ let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
      construction, so any divergence is introduced by the edits. *)
 let default_mut_seed = 0xf1c5
 
+let repair_variant ~max_issues ~speculative ~reference ~where pre_findings mutant =
+  match Analysis.Barrier_repair.repair ~speculative mutant with
+  | Analysis.Barrier_repair.Clean ->
+    violate Repair_incomplete
+      "%s: repair claims the program is already clean, but srlint reports %d finding(s): %s"
+      where (List.length pre_findings)
+      (show Analysis.Barrier_safety.pp_machine (List.hd pre_findings))
+  | Analysis.Barrier_repair.Unrepairable _ ->
+    (* Acceptable outcome: the contract only requires the blocking
+       finding to be named, which the constructor carries by type. *)
+    ()
+  | Analysis.Barrier_repair.Repaired { program = repaired; edits; _ } ->
+    let plan = Analysis.Barrier_repair.render_edits edits in
+    (match Analysis.Barrier_safety.check ~speculative repaired with
+    | [] -> ()
+    | f :: _ ->
+      violate Repair_unsound "%s: repaired program is still flagged: %s\nplan:\n%s" where
+        (show Analysis.Barrier_safety.pp_machine f)
+        plan);
+    (match Ir.Verifier.check_program repaired with
+    | [] -> ()
+    | errors ->
+      violate Repair_unsound "%s: repaired program fails the verifier: %s" where
+        (String.concat "; " (List.map (show Ir.Verifier.pp_error) errors)));
+    let decoded = Ir.Decoded.decode (Ir.Linear.linearize repaired) in
+    List.iter
+      (fun cell ->
+        match run cell with
+        | Error (Deadlocked msg) ->
+          violate Repair_unsound "%s: accepted repair deadlocked: %s\nplan:\n%s" cell.where msg
+            plan
+        | Error (Crashed msg) ->
+          violate Repair_unsound "%s: accepted repair raised a runtime error: %s\nplan:\n%s"
+            cell.where msg plan
+        | Ok r -> (
+          let want = List.assoc cell.kernel reference and got = image r in
+          match difference want got with
+          | None -> ()
+          | Some Finished ->
+            violate Repair_unsound
+              "%s: repaired run finished %d threads, the PDOM baseline finished %d\nplan:\n%s"
+              cell.where got.finished want.finished plan
+          | Some (Address addr) ->
+            violate Repair_unsound
+              "%s: repaired memory differs from the PDOM baseline at address %d\nplan:\n%s"
+              cell.where addr plan))
+      (cells repaired decoded (by_policy ~max_issues (Printf.sprintf "%s, %s/%s" where)))
+
 let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_mut_seed)
     ?(id = 0) ast =
-  let compiled =
-    try
-      Ok
-        ( Pipeline.compile ~mode:Pipeline.Baseline ast,
-          Pipeline.compile ~mode:Pipeline.Specrecon ast )
-    with Pipeline.Stage_error (stage, msg) ->
-      Error { kind = Stage_failure; detail = Printf.sprintf "%s: %s" stage msg }
-  in
-  match compiled with
-  | Error v -> Violation v
-  | Ok (baseline, specrecon) when baseline.Pipeline.lint = [] && specrecon.Pipeline.lint = []
-    -> (
-    let speculative = specrecon.Pipeline.speculative in
-    (* Per-kernel PDOM reference images (first policy; the standard
-       matrix already proves baseline schedule-independence). *)
-    let reference =
-      List.map
-        (fun (kf : Ir.Linear.finfo) ->
-          let config = { base_config with Simt.Config.max_issues } in
-          let r =
-            Simt.Interp.run config baseline.Pipeline.decoded ~entry:kf.Ir.Linear.fname
-              ~args:[]
-              ~init_memory:(init_memory baseline.Pipeline.program)
-          in
-          (kf.Ir.Linear.fname, snapshot r.Simt.Interp.memory))
-        (runnable_kernels baseline.Pipeline.linear)
-    in
-    try
-      for v = 0 to variants - 1 do
-        let rng = Sm.of_ints mut_seed id v in
-        match Misplace.mutate rng specrecon.Pipeline.program with
-        | None -> ()
-        | Some (mname, mutant) -> (
-          match Analysis.Barrier_safety.check ~speculative mutant with
-          | [] -> () (* benign misplacement; nothing for the repair pass to do *)
-          | pre_findings -> (
-            let where = Printf.sprintf "variant %d (%s)" v mname in
-            match Analysis.Barrier_repair.repair ~speculative mutant with
-            | Analysis.Barrier_repair.Clean ->
-              raise
-                (Stop
-                   (Violation
-                      {
-                        kind = Repair_incomplete;
-                        detail =
-                          Printf.sprintf
-                            "%s: repair claims the program is already clean, but srlint \
-                             reports %d finding(s): %s"
-                            where
-                            (List.length pre_findings)
-                            (Format.asprintf "%a" Analysis.Barrier_safety.pp_machine
-                               (List.hd pre_findings));
-                      }))
-            | Analysis.Barrier_repair.Unrepairable { blocking = _; explored = _ } ->
-              (* Acceptable outcome: the contract only requires the
-                 blocking finding to be named, which the constructor
-                 carries by type. *)
-              ()
-            | Analysis.Barrier_repair.Repaired { program = repaired; edits; _ } -> (
-              let plan = Analysis.Barrier_repair.render_edits edits in
-              (match Analysis.Barrier_safety.check ~speculative repaired with
-              | [] -> ()
-              | f :: _ ->
-                raise
-                  (Stop
-                     (Violation
-                        {
-                          kind = Repair_unsound;
-                          detail =
-                            Printf.sprintf
-                              "%s: repaired program is still flagged: %s\nplan:\n%s" where
-                              (Format.asprintf "%a" Analysis.Barrier_safety.pp_machine f)
-                              plan;
-                        })));
-              match Ir.Verifier.check_program repaired with
-              | _ :: _ as errors ->
-                raise
-                  (Stop
-                     (Violation
-                        {
-                          kind = Repair_unsound;
-                          detail =
-                            Printf.sprintf "%s: repaired program fails the verifier: %s" where
-                              (String.concat "; "
-                                 (List.map
-                                    (Format.asprintf "%a" Ir.Verifier.pp_error)
-                                    errors));
-                        }))
-              | [] ->
-                let linear = Ir.Linear.linearize repaired in
-                let decoded = Ir.Decoded.decode linear in
-                List.iter
-                  (fun policy ->
-                    List.iter
-                      (fun (kf : Ir.Linear.finfo) ->
-                        let kname = kf.Ir.Linear.fname in
-                        let cell =
-                          Printf.sprintf "%s, %s/%s" where (policy_name policy) kname
-                        in
-                        let config =
-                          { base_config with Simt.Config.policy; max_issues }
-                        in
-                        let result =
-                          try
-                            Simt.Interp.run config decoded ~entry:kname ~args:[]
-                              ~init_memory:(init_memory repaired)
-                          with
-                          | Simt.Interp.Deadlock msg ->
-                            raise
-                              (Stop
-                                 (Violation
-                                    {
-                                      kind = Repair_unsound;
-                                      detail =
-                                        Printf.sprintf
-                                          "%s: accepted repair deadlocked: %s\nplan:\n%s"
-                                          cell msg plan;
-                                    }))
-                          | Simt.Interp.Runtime_error msg ->
-                            raise
-                              (Stop
-                                 (Violation
-                                    {
-                                      kind = Repair_unsound;
-                                      detail =
-                                        Printf.sprintf
-                                          "%s: accepted repair raised a runtime error: \
-                                           %s\nplan:\n%s"
-                                          cell msg plan;
-                                    }))
-                          | Simt.Interp.Runaway msg ->
-                            raise (Stop (Limit (Printf.sprintf "%s: %s" cell msg)))
-                        in
-                        match List.assoc_opt kname reference with
-                        | None -> ()
-                        | Some ref_snap -> (
-                          match
-                            first_diff ref_snap (snapshot result.Simt.Interp.memory)
-                          with
-                          | None -> ()
-                          | Some addr ->
-                            raise
-                              (Stop
-                                 (Violation
-                                    {
-                                      kind = Repair_unsound;
-                                      detail =
-                                        Printf.sprintf
-                                          "%s: repaired memory differs from the PDOM \
-                                           baseline at address %d\nplan:\n%s"
-                                          cell addr plan;
-                                    }))))
-                      (runnable_kernels linear))
-                  policies)))
-      done;
-      Ok_run
-    with Stop v -> v)
-  | Ok ((_, specrecon) as _staged) ->
-    (* The unmutated program is itself flagged — the standard tier owns
-       that contract (lint-spurious); skip it here. *)
-    Limit
-      (Printf.sprintf "repair tier skipped: unmutated program has %d finding(s)"
-         (List.length specrecon.Pipeline.lint))
+  guard (fun () ->
+      let staged = compile_both ast in
+      let baseline = List.assoc Pipeline.Baseline staged
+      and specrecon = List.assoc Pipeline.Specrecon staged in
+      if baseline.Pipeline.lint <> [] || specrecon.Pipeline.lint <> [] then
+        (* The unmutated program is itself flagged — the standard tier
+           owns that contract (lint-spurious); skip it here. *)
+        Limit
+          (Printf.sprintf "repair tier skipped: unmutated program has %d finding(s)"
+             (List.length specrecon.Pipeline.lint))
+      else begin
+        (* The PDOM reference image per kernel: the standard matrix's
+           first cell (the matrix proves baseline schedule-independence),
+           read under the standard contracts. *)
+        let reference =
+          List.map
+            (fun cell ->
+              match run cell with
+              | Ok r -> (cell.kernel, image r)
+              | Error failure -> standard_failure baseline cell.where failure)
+            (cells baseline.Pipeline.program baseline.Pipeline.decoded
+               [ List.hd
+                   (by_policy ~max_issues
+                      (Printf.sprintf "%s/%s/%s" (Pipeline.mode_name Pipeline.Baseline)))
+               ])
+        in
+        for v = 0 to variants - 1 do
+          match Misplace.mutate (Sm.of_ints mut_seed id v) specrecon.Pipeline.program with
+          | None -> ()
+          | Some (mname, mutant) -> (
+            let speculative = specrecon.Pipeline.speculative in
+            match Analysis.Barrier_safety.check ~speculative mutant with
+            | [] -> () (* benign misplacement; nothing for the repair pass to do *)
+            | pre_findings ->
+              repair_variant ~max_issues ~speculative ~reference
+                ~where:(Printf.sprintf "variant %d (%s)" v mname)
+                pre_findings mutant)
+        done;
+        Ok_run
+      end)

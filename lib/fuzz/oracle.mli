@@ -50,14 +50,20 @@
     checker-clean program can never truly stall, so a yield is the
     watchdog misfiring ({!Spurious_yield}).
 
-    Every parameterless kernel of a multi-kernel program goes through
-    the full matrix (and chaos tier) independently, as its own entry
-    point (kernels with parameters are skipped — the oracle has no
-    arguments to pass them).
+    Every tier — standard, chaos, serve and repair — enumerates its runs
+    as cells of one matrix: a build, a machine config, an entry kernel
+    and the label a verdict names the run by, row by row over the
+    parameterless kernels (kernels with parameters are skipped — the
+    oracle has no arguments to pass them). One classifier reads every
+    run, and each tier keeps only its own predicates over the results.
+    The chaos tier and the repair tier compare against the same PDOM
+    reference image: the standard matrix's first cell for the kernel
+    (baseline build, most-threads scheduler).
 
-    {!Simt.Interp.Runaway} (the [max_issues] budget) is {e not} a
-    violation: it is the fuzzer's liveness cap, reported as {!Limit} so a
-    campaign can account for skipped programs honestly. *)
+    Budget exhaustion ({!Simt.Interp.Out_of_budget}) is {e not} a
+    violation in any tier, repair included: it is the fuzzer's liveness
+    cap, reported as {!Limit} so a campaign can account for skipped
+    programs honestly. *)
 
 type kind =
   | Round_trip  (** pretty-printed source re-parses differently (or not at all) *)
@@ -156,7 +162,9 @@ val default_mut_seed : int
 
 (** [check_repair ~id ast] runs the repair tier on one generated
     program: compile both modes; skip (as {!Limit}) if the unmutated
-    program is already flagged; then for each of [variants] (default 3)
+    program is already flagged; run the PDOM reference image of each
+    kernel (a deadlock or runtime error there is reported under the
+    standard tier's kinds); then for each of [variants] (default 3)
     seeded {!Misplace} mutants of the speculative build whose
     misplacement srlint flags, require {!Analysis.Barrier_repair} to
     either repair it — re-check clean, verifier-clean, deadlock-free

@@ -32,48 +32,13 @@ let verify name program =
     in
     raise (Stage_error ("verify:" ^ name, rendered))
 
-let strip_hints (p : T.program) = Hashtbl.iter (fun _ (f : T.func) -> f.hints <- []) p.funcs
-
-(* Barrier priority for deconfliction, as Core.Compile ranks it: user
-   hints beat region barriers beat compiler PDOM barriers (§4.1). *)
-let make_priority ~applied ~interproc ~pdom =
-  let rank = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Passes.Specrecon.applied) ->
-      Hashtbl.replace rank (a.in_func, a.user_barrier) 3;
-      match a.region_barrier with
-      | Some b -> Hashtbl.replace rank (a.in_func, b) 2
-      | None -> ())
-    applied;
-  List.iter
-    (fun (a : Passes.Interproc.applied) -> Hashtbl.replace rank (a.in_func, a.barrier) 3)
-    interproc;
-  List.iter (fun (fname, _, b) -> Hashtbl.replace rank (fname, b) 1) pdom;
-  fun fname b -> Option.value (Hashtbl.find_opt rank (fname, b)) ~default:1
-
-(* Speculative-barrier provenance for srlint's dominance rule, as
-   Core.Compile collects it. *)
-let speculative_meta ~applied ~interproc =
-  List.map
-    (fun (a : Passes.Specrecon.applied) ->
-      {
-        Analysis.Barrier_safety.sfunc = a.in_func;
-        slot = a.user_barrier;
-        join_block = a.region_start;
-      })
-    applied
-  @ List.map
-      (fun (a : Passes.Interproc.applied) ->
-        { Analysis.Barrier_safety.sfunc = a.in_func; slot = a.barrier; join_block = a.region_start })
-      interproc
-
 let compile ?(deconflict = true) ?(deconflict_call_waits = true) ~mode ast =
   let program = stage "lower" (fun () -> Front.Lower.lower ast) in
   verify "lower" program;
   let resolutions, speculative =
     match mode with
     | Baseline ->
-      strip_hints program;
+      Core.Compile.strip_hints program;
       let divergence = Analysis.Divergence.run program in
       ignore (stage "pdom_sync" (fun () -> Passes.Pdom_sync.run program divergence));
       verify "pdom_sync" program;
@@ -86,9 +51,9 @@ let compile ?(deconflict = true) ?(deconflict_call_waits = true) ~mode ast =
       let divergence = Analysis.Divergence.run program in
       let pdom = stage "pdom_sync" (fun () -> Passes.Pdom_sync.run program divergence) in
       verify "pdom_sync" program;
-      let speculative = speculative_meta ~applied ~interproc in
+      let speculative = Core.Compile.speculative_meta ~applied ~interproc in
       if deconflict then begin
-        let priority = make_priority ~applied ~interproc ~pdom in
+        let priority = Core.Compile.make_priority ~applied ~interproc ~pdom in
         let report =
           stage "deconflict" (fun () ->
               Passes.Deconflict.run ~model_call_waits:deconflict_call_waits program

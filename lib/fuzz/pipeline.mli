@@ -5,6 +5,9 @@
     with dynamic deconfliction (§4) — but runs {!Ir.Verifier} after every
     pass and tags failures with the stage that caused them, so a fuzzing
     campaign can report {e which} layer broke instead of a bare [Failure].
+    The barrier ranking and speculative provenance are the compiler's
+    own ({!Core.Compile.make_priority}, {!Core.Compile.speculative_meta}),
+    so the fuzzer tests what ships.
 
     [~deconflict:false] skips §4.3's deconfliction on the speculative
     pipeline. That is exactly the configuration the paper calls unsafe

@@ -280,7 +280,7 @@ let check_transport ?(count = 30) ?(plans = 2) ?(max_issues = 200_000) ~seed ~ch
     for k = 0 to plans - 1 do
       if !violation = None then begin
         let plan_seed = chaos_seed + (7919 * k) in
-        let plan = SF.create ~seed:plan_seed () in
+        let plan = SF.create ~seed:plan_seed in
         replays := !replays + count;
         match
           faulted_pass ~max_issues ~dir ~name:(Printf.sprintf "plan%d" k) plan lines
@@ -400,7 +400,7 @@ let check_persist ?(count = 12) ?(max_issues = 200_000) ~seed ~chaos_seed () =
           | None -> (!replays, viol ("generation 2 stats unparsable: " ^ s2))
           | Some _ -> (
             (* Mangle the store per the plan's file channel. *)
-            let plan = SF.create ~seed:(chaos_seed lxor 0x9e37) () in
+            let plan = SF.create ~seed:(chaos_seed lxor 0x9e37) in
             let arts =
               Sys.readdir store |> Array.to_list
               |> List.filter (fun f -> Filename.check_suffix f ".art")

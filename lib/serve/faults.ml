@@ -14,11 +14,11 @@
    - file: once per corruption opportunity between server generations,
      the plan may order the persisted cache files mangled.
 
-   Faults draw from a SplitMix-seeded plan; every applied fault is
-   recorded with its consultation index and the trace replays exactly,
-   same contract as Simt.Faults. *)
+   The plan, its recording and its trace format are Support.Fault_plan's,
+   shared with Simt.Faults. *)
 
 module Sm = Support.Splitmix
+module P = Support.Fault_plan
 
 type event =
   | Truncate of { step : int; keep : int }
@@ -34,163 +34,76 @@ type disposition =
   | Fueled of int  (* inject deadline=fuel into the request *)
   | Aborted  (* send, read nothing, close *)
 
-type rates = {
-  trunc_rate : float;
-  slow_rate : float;
-  fuel_rate : float;
-  abort_rate : float;
-  corrupt_rate : float;
-  fuel_max : int;
-  chunk_max : int;
-}
+(* Per-consultation probabilities, and the bounds sizes are drawn in. *)
+let trunc_rate = 0.10
+let slow_rate = 0.10
+let fuel_rate = 0.10
+let abort_rate = 0.05
+let corrupt_rate = 0.5
+let fuel_max = 200
+let chunk_max = 7
 
-let default_rates =
-  {
-    trunc_rate = 0.10;
-    slow_rate = 0.10;
-    fuel_rate = 0.10;
-    abort_rate = 0.05;
-    corrupt_rate = 0.5;
-    fuel_max = 200;
-    chunk_max = 7;
-  }
+let req_ch = 0
+let file_ch = 1
 
-type channel = Req_ch | File_ch
+type t = event P.t
 
-type mode = Generate of Sm.t * rates | Replay of (channel * int, event) Hashtbl.t
+let create ~seed = P.generate ~channels:2 (Sm.of_ints seed 0x5e17e 0xfa17)
 
-type t = {
-  mode : mode;
-  mutable req_step : int;
-  mutable file_step : int;
-  mutable applied_rev : event list;
-}
+let key = function
+  | Truncate { step; _ } | Slow { step; _ } | Fuel { step; _ } | Abort { step } -> (req_ch, step)
+  | Corrupt { step } -> (file_ch, step)
 
-let create ?(rates = default_rates) ~seed () =
-  { mode = Generate (Sm.of_ints seed 0x5e17e 0xfa17, rates); req_step = 0; file_step = 0;
-    applied_rev = [] }
+let replay events = P.replay ~channels:2 ~key events
 
-let channel_of = function
-  | Truncate _ | Slow _ | Fuel _ | Abort _ -> Req_ch
-  | Corrupt _ -> File_ch
-
-let step_of = function
-  | Truncate { step; _ } | Slow { step; _ } | Fuel { step; _ } | Abort { step }
-  | Corrupt { step } ->
-    step
-
-let replay events =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun ev -> Hashtbl.replace tbl (channel_of ev, step_of ev) ev) events;
-  { mode = Replay tbl; req_step = 0; file_step = 0; applied_rev = [] }
-
-let events t = List.rev t.applied_rev
-
-let record t ev = t.applied_rev <- ev :: t.applied_rev
+let events = P.events
 
 (* [len] is the request line's byte length, so a truncation point can be
    drawn inside it; replayed truncations clamp to it. *)
 let request_fault t ~len =
-  let step = t.req_step in
-  t.req_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    let x = Sm.float rng in
-    if x < r.trunc_rate then begin
-      let keep = Sm.int rng (max 1 len) in
-      record t (Truncate { step; keep });
-      Truncated keep
-    end
-    else if x < r.trunc_rate +. r.slow_rate then begin
-      let chunk = 1 + Sm.int rng r.chunk_max in
-      record t (Slow { step; chunk });
-      Slowed chunk
-    end
-    else if x < r.trunc_rate +. r.slow_rate +. r.fuel_rate then begin
-      let fuel = 1 + Sm.int rng r.fuel_max in
-      record t (Fuel { step; fuel });
-      Fueled fuel
-    end
-    else if x < r.trunc_rate +. r.slow_rate +. r.fuel_rate +. r.abort_rate then begin
-      record t (Abort { step });
-      Aborted
-    end
-    else Clean
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (Req_ch, step) with
-    | Some (Truncate { keep; _ }) ->
-      let keep = min keep (max 0 (len - 1)) in
-      record t (Truncate { step; keep });
-      Truncated keep
-    | Some (Slow { chunk; _ }) ->
-      record t (Slow { step; chunk });
-      Slowed chunk
-    | Some (Fuel { fuel; _ }) ->
-      record t (Fuel { step; fuel });
-      Fueled fuel
-    | Some (Abort _) ->
-      record t (Abort { step });
-      Aborted
-    | _ -> Clean)
+  match
+    P.consult t req_ch
+      ~draw:(fun rng step ->
+        let x = Sm.float rng in
+        if x < trunc_rate then Some (Truncate { step; keep = Sm.int rng (max 1 len) })
+        else if x < trunc_rate +. slow_rate then
+          Some (Slow { step; chunk = 1 + Sm.int rng chunk_max })
+        else if x < trunc_rate +. slow_rate +. fuel_rate then
+          Some (Fuel { step; fuel = 1 + Sm.int rng fuel_max })
+        else if x < trunc_rate +. slow_rate +. fuel_rate +. abort_rate then Some (Abort { step })
+        else None)
+      ~replay:(function
+        | Truncate { step; keep } -> Some (Truncate { step; keep = min keep (max 0 (len - 1)) })
+        | ev -> Some ev)
+  with
+  | Some (Truncate { keep; _ }) -> Truncated keep
+  | Some (Slow { chunk; _ }) -> Slowed chunk
+  | Some (Fuel { fuel; _ }) -> Fueled fuel
+  | Some (Abort _) -> Aborted
+  | Some (Corrupt _) | None -> Clean
 
 let file_fault t =
-  let step = t.file_step in
-  t.file_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    if Sm.float rng < r.corrupt_rate then begin
-      record t (Corrupt { step });
-      true
-    end
-    else false
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (File_ch, step) with
-    | Some (Corrupt _) ->
-      record t (Corrupt { step });
-      true
-    | _ -> false)
+  P.consult t file_ch
+    ~draw:(fun rng step -> if Sm.float rng < corrupt_rate then Some (Corrupt { step }) else None)
+    ~replay:Option.some
+  <> None
 
-(* ---- trace printing and parsing ---- *)
+let fields = function
+  | Truncate { step; keep } -> ("trunc", [ ("step", step); ("keep", keep) ])
+  | Slow { step; chunk } -> ("slow", [ ("step", step); ("chunk", chunk) ])
+  | Fuel { step; fuel } -> ("fuel", [ ("step", step); ("fuel", fuel) ])
+  | Abort { step } -> ("abort", [ ("step", step) ])
+  | Corrupt { step } -> ("corrupt", [ ("step", step) ])
 
-let pp_event ppf = function
-  | Truncate { step; keep } -> Format.fprintf ppf "fault trunc step=%d keep=%d" step keep
-  | Slow { step; chunk } -> Format.fprintf ppf "fault slow step=%d chunk=%d" step chunk
-  | Fuel { step; fuel } -> Format.fprintf ppf "fault fuel step=%d fuel=%d" step fuel
-  | Abort { step } -> Format.fprintf ppf "fault abort step=%d" step
-  | Corrupt { step } -> Format.fprintf ppf "fault corrupt step=%d" step
+let of_fields kind fields =
+  match (kind, fields) with
+  | "trunc", [ ("step", step); ("keep", keep) ] -> Some (Truncate { step; keep })
+  | "slow", [ ("step", step); ("chunk", chunk) ] -> Some (Slow { step; chunk })
+  | "fuel", [ ("step", step); ("fuel", fuel) ] -> Some (Fuel { step; fuel })
+  | "abort", [ ("step", step) ] -> Some (Abort { step })
+  | "corrupt", [ ("step", step) ] -> Some (Corrupt { step })
+  | _ -> None
 
-let pp_trace ppf events =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) events
+let trace_to_string events = P.trace_to_string fields events
 
-let trace_to_string events = Format.asprintf "%a" pp_trace events
-
-let parse_event line =
-  let fail () = failwith (Printf.sprintf "Serve.Faults.parse_trace: malformed line %S" line) in
-  let field name kv =
-    match String.split_on_char '=' kv with
-    | [ k; v ] when String.equal k name -> (
-      match int_of_string_opt v with Some n -> n | None -> fail ())
-    | _ -> fail ()
-  in
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "fault"; kind; s ] -> (
-    let step = field "step" s in
-    match kind with
-    | "abort" -> Abort { step }
-    | "corrupt" -> Corrupt { step }
-    | _ -> fail ())
-  | [ "fault"; kind; s; x ] -> (
-    let step = field "step" s in
-    match kind with
-    | "trunc" -> Truncate { step; keep = field "keep" x }
-    | "slow" -> Slow { step; chunk = field "chunk" x }
-    | "fuel" -> Fuel { step; fuel = field "fuel" x }
-    | _ -> fail ())
-  | _ -> fail ()
-
-let parse_trace text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         String.length l > 0 && not (String.length l >= 1 && l.[0] = '#'))
-  |> List.map parse_event
+let parse_trace text = P.parse_trace ~what:"Serve.Faults" of_fields text

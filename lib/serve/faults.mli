@@ -10,8 +10,9 @@
     - {e file}: once per corruption opportunity between server
       generations, the plan may order persisted cache files mangled.
 
-    Same contract as the simulator harness: faults draw from a
-    SplitMix-seeded plan, every applied fault is recorded with its
+    Same contract as the simulator harness, on the same
+    {!Support.Fault_plan} core: faults draw from a SplitMix-seeded plan
+    at fixed rates, every applied fault is recorded with its
     consultation index, and the printed trace parses back and replays
     exactly. *)
 
@@ -31,23 +32,10 @@ type disposition =
   | Fueled of int  (** inject [deadline=fuel] into the request *)
   | Aborted  (** send fully, read no response, close *)
 
-type rates = {
-  trunc_rate : float;  (** P(torn line) per request *)
-  slow_rate : float;  (** P(slow-loris send) per request *)
-  fuel_rate : float;  (** P(injected fuel budget) per request *)
-  abort_rate : float;  (** P(client vanishes unread) per request *)
-  corrupt_rate : float;  (** P(mangle) per file opportunity *)
-  fuel_max : int;  (** injected budget drawn from [1, max] *)
-  chunk_max : int;  (** slow-loris chunk drawn from [1, max] *)
-}
-
-val default_rates : rates
-
 type t
 
-(** [create ?rates ~seed ()] — a generative plan; same seed, same
-    faults. *)
-val create : ?rates:rates -> seed:int -> unit -> t
+(** [create ~seed] — a generative plan; same seed, same faults. *)
+val create : seed:int -> t
 
 (** [replay events] — a plan that re-applies exactly [events]. *)
 val replay : event list -> t
@@ -63,10 +51,9 @@ val request_fault : t -> len:int -> disposition
 (** [file_fault t] — whether to corrupt at this file opportunity. *)
 val file_fault : t -> bool
 
-val pp_event : Format.formatter -> event -> unit
-val pp_trace : Format.formatter -> event list -> unit
+(** One [fault KIND step=N ...] line per event. *)
 val trace_to_string : event list -> string
 
-(** Inverse of {!pp_trace}; blank lines and [#] comments are skipped.
+(** Inverse of {!trace_to_string}; blank lines and [#] comments are skipped.
     @raise Failure on a malformed line. *)
 val parse_trace : string -> event list

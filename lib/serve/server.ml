@@ -218,7 +218,7 @@ let launch_slot t = function
           digest = Simt.Memsys.digest outcome.Core.Runner.memory;
         }
     with
-    | Simt.Interp.Deadline_exceeded _ ->
+    | Simt.Interp.Out_of_budget (Simt.Interp.Fuel, _) ->
       (* An expected outcome of a budgeted run, not a failure: its own
          response head, mirroring exit code 9 on the one-shot path. *)
       P.Deadline { rid = req.P.id; fuel = fuel_of_request t req }

@@ -65,7 +65,7 @@ type t = {
   max_issues : int; (** safety net against runaway programs *)
   fuel : int;
       (** request deadline: the run stops deterministically with
-          {!Interp.Deadline_exceeded} once this many instructions have
+          {!Interp.Out_of_budget} [Fuel] once this many instructions have
           issued ([0] = unlimited). Unlike [max_issues] — a tool-bug
           safety net mapped to the runtime failure code — fuel
           exhaustion is an expected, budgeted outcome with its own exit

@@ -1,4 +1,5 @@
 module Sm = Support.Splitmix
+module P = Support.Fault_plan
 
 type event =
   | Pick of { step : int; warp : int; index : int }
@@ -9,205 +10,120 @@ type event =
 
 type disturbance = D_release of int | D_stall of int
 
-type rates = {
-  pick_rate : float;
-  mem_rate : float;
-  mem_spike_max : int;
-  release_rate : float;
-  stall_rate : float;
-  stall_max : int;
-  io_rate : float;
-  io_max : int;
-}
+(* Per-consultation probabilities, and the bounds sizes are drawn in. *)
+let pick_rate = 0.05
+let mem_rate = 0.02
+let mem_spike_max = 200
+let release_rate = 0.004
+let stall_rate = 0.004
+let stall_max = 64
+let io_rate = 0.03
+let io_max = 48
 
-let default_rates =
-  {
-    pick_rate = 0.05;
-    mem_rate = 0.02;
-    mem_spike_max = 200;
-    release_rate = 0.004;
-    stall_rate = 0.004;
-    stall_max = 64;
-    io_rate = 0.03;
-    io_max = 48;
-  }
+let pick_ch = 0
+let mem_ch = 1
+let disturb_ch = 2
+let io_ch = 3
 
-(* Replay lookup is keyed by (channel, per-channel consultation index):
-   the simulator is deterministic between consultations, so applying the
-   recorded event at the same index reproduces the faulted run exactly. *)
-type channel = Pick_ch | Mem_ch | Disturb_ch | Io_ch
+type t = event P.t
 
-type mode = Generate of Sm.t * rates | Replay of (channel * int, event) Hashtbl.t
+let create ~seed = P.generate ~channels:4 (Sm.of_ints seed 0xfa17 0x1417)
 
-type t = {
-  mode : mode;
-  mutable pick_step : int;
-  mutable mem_step : int;
-  mutable disturb_step : int;
-  mutable io_step : int;
-  mutable applied_rev : event list;
-}
+let key = function
+  | Pick { step; _ } -> (pick_ch, step)
+  | Mem_spike { step; _ } -> (mem_ch, step)
+  | Release { step; _ } | Stall { step; _ } -> (disturb_ch, step)
+  | Io_delay { step; _ } -> (io_ch, step)
 
-let create ?(rates = default_rates) ~seed () =
-  {
-    mode = Generate (Sm.of_ints seed 0xfa17 0x1417, rates);
-    pick_step = 0;
-    mem_step = 0;
-    disturb_step = 0;
-    io_step = 0;
-    applied_rev = [];
-  }
+let replay events = P.replay ~channels:4 ~key events
 
-let channel_of = function
-  | Pick _ -> Pick_ch
-  | Mem_spike _ -> Mem_ch
-  | Release _ | Stall _ -> Disturb_ch
-  | Io_delay _ -> Io_ch
-
-let step_of = function
-  | Pick { step; _ } | Mem_spike { step; _ } | Release { step; _ } | Stall { step; _ }
-  | Io_delay { step; _ } ->
-    step
-
-let replay events =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun ev -> Hashtbl.replace tbl (channel_of ev, step_of ev) ev) events;
-  { mode = Replay tbl; pick_step = 0; mem_step = 0; disturb_step = 0; io_step = 0;
-    applied_rev = [] }
-
-let events t = List.rev t.applied_rev
-
-let record t ev = t.applied_rev <- ev :: t.applied_rev
+let events = P.events
 
 let pick t ~warp ~k ~chosen =
-  let step = t.pick_step in
-  t.pick_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    if k >= 2 && Sm.float rng < r.pick_rate then begin
-      let index = Sm.int rng k in
-      if index <> chosen then record t (Pick { step; warp; index });
-      index
-    end
-    else chosen
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (Pick_ch, step) with
-    | Some (Pick { index; _ }) when index < k ->
-      record t (Pick { step; warp; index });
-      index
-    | _ -> chosen)
+  match
+    P.consult t pick_ch
+      ~draw:(fun rng step ->
+        if k >= 2 && Sm.float rng < pick_rate then
+          let index = Sm.int rng k in
+          if index <> chosen then Some (Pick { step; warp; index }) else None
+        else None)
+      ~replay:(function
+        | Pick { step; index; _ } when index < k -> Some (Pick { step; warp; index })
+        | _ -> None)
+  with
+  | Some (Pick { index; _ }) -> index
+  | _ -> chosen
 
-let mem_spike t ~warp =
-  let step = t.mem_step in
-  t.mem_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    if Sm.float rng < r.mem_rate then begin
-      let extra = 1 + Sm.int rng r.mem_spike_max in
-      record t (Mem_spike { step; warp; extra });
-      extra
-    end
-    else 0
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (Mem_ch, step) with
-    | Some (Mem_spike { extra; _ }) ->
-      record t (Mem_spike { step; warp; extra });
-      extra
-    | _ -> 0)
+(* mem and io draw alike, each on its own channel: a spike models one
+   slow transaction, io-delay models interconnect jitter on every
+   response, and keeping the streams apart lets a replay reproduce
+   either without the other. *)
+let delay channel ~rate ~max make t ~warp =
+  match
+    P.consult t channel
+      ~draw:(fun rng step ->
+        if Sm.float rng < rate then Some (make step warp (1 + Sm.int rng max)) else None)
+      ~replay:(function
+        | Mem_spike { step; extra; _ } | Io_delay { step; extra; _ } -> Some (make step warp extra)
+        | _ -> None)
+  with
+  | Some (Mem_spike { extra; _ } | Io_delay { extra; _ }) -> extra
+  | _ -> 0
 
-(* io-delay: seeded per-warp memory-response jitter. A separate channel
-   (own counter, own rate) from mem_spike: a spike models one slow
-   transaction, jitter models interconnect noise on every response — and
-   keeping the streams apart lets a replay reproduce either without the
-   other. *)
-let io_delay t ~warp =
-  let step = t.io_step in
-  t.io_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    if Sm.float rng < r.io_rate then begin
-      let extra = 1 + Sm.int rng r.io_max in
-      record t (Io_delay { step; warp; extra });
-      extra
-    end
-    else 0
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (Io_ch, step) with
-    | Some (Io_delay { extra; _ }) ->
-      record t (Io_delay { step; warp; extra });
-      extra
-    | _ -> 0)
+let mem_spike =
+  delay mem_ch ~rate:mem_rate ~max:mem_spike_max (fun step warp extra ->
+      Mem_spike { step; warp; extra })
+
+let io_delay =
+  delay io_ch ~rate:io_rate ~max:io_max (fun step warp extra -> Io_delay { step; warp; extra })
 
 let disturb t ~warp ~waiting_slots =
-  let step = t.disturb_step in
-  t.disturb_step <- step + 1;
-  match t.mode with
-  | Generate (rng, r) ->
-    let x = Sm.float rng in
-    if x < r.release_rate then (
-      match waiting_slots with
-      | [] -> None
-      | slots ->
-        let slot = List.nth slots (Sm.int rng (List.length slots)) in
-        record t (Release { step; warp; slot });
-        Some (D_release slot))
-    else if x < r.release_rate +. r.stall_rate then begin
-      let cycles = 1 + Sm.int rng r.stall_max in
-      record t (Stall { step; warp; cycles });
-      Some (D_stall cycles)
-    end
-    else None
-  | Replay tbl -> (
-    match Hashtbl.find_opt tbl (Disturb_ch, step) with
-    | Some (Release { slot; _ }) when List.mem slot waiting_slots ->
-      record t (Release { step; warp; slot });
-      Some (D_release slot)
-    | Some (Stall { cycles; _ }) ->
-      record t (Stall { step; warp; cycles });
-      Some (D_stall cycles)
-    | _ -> None)
+  match
+    P.consult t disturb_ch
+      ~draw:(fun rng step ->
+        let x = Sm.float rng in
+        if x < release_rate then
+          match waiting_slots with
+          | [] -> None
+          | slots ->
+            Some (Release { step; warp; slot = List.nth slots (Sm.int rng (List.length slots)) })
+        else if x < release_rate +. stall_rate then
+          Some (Stall { step; warp; cycles = 1 + Sm.int rng stall_max })
+        else None)
+      ~replay:(function
+        | Release { step; slot; _ } when List.mem slot waiting_slots ->
+          Some (Release { step; warp; slot })
+        | Stall { step; cycles; _ } -> Some (Stall { step; warp; cycles })
+        | _ -> None)
+  with
+  | Some (Release { slot; _ }) -> Some (D_release slot)
+  | Some (Stall { cycles; _ }) -> Some (D_stall cycles)
+  | _ -> None
 
-(* ---- trace printing and parsing (deterministic replay format) ---- *)
-
-let pp_event ppf = function
-  | Pick { step; warp; index } -> Format.fprintf ppf "fault pick step=%d warp=%d index=%d" step warp index
+let fields = function
+  | Pick { step; warp; index } -> ("pick", [ ("step", step); ("warp", warp); ("index", index) ])
   | Mem_spike { step; warp; extra } ->
-    Format.fprintf ppf "fault mem step=%d warp=%d extra=%d" step warp extra
+    ("mem", [ ("step", step); ("warp", warp); ("extra", extra) ])
   | Release { step; warp; slot } ->
-    Format.fprintf ppf "fault release step=%d warp=%d slot=%d" step warp slot
+    ("release", [ ("step", step); ("warp", warp); ("slot", slot) ])
   | Stall { step; warp; cycles } ->
-    Format.fprintf ppf "fault stall step=%d warp=%d cycles=%d" step warp cycles
-  | Io_delay { step; warp; extra } ->
-    Format.fprintf ppf "fault io step=%d warp=%d extra=%d" step warp extra
+    ("stall", [ ("step", step); ("warp", warp); ("cycles", cycles) ])
+  | Io_delay { step; warp; extra } -> ("io", [ ("step", step); ("warp", warp); ("extra", extra) ])
 
-let pp_trace ppf events =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) events
+let of_fields kind fields =
+  match (kind, fields) with
+  | "pick", [ ("step", step); ("warp", warp); ("index", index) ] ->
+    Some (Pick { step; warp; index })
+  | "mem", [ ("step", step); ("warp", warp); ("extra", extra) ] ->
+    Some (Mem_spike { step; warp; extra })
+  | "release", [ ("step", step); ("warp", warp); ("slot", slot) ] ->
+    Some (Release { step; warp; slot })
+  | "stall", [ ("step", step); ("warp", warp); ("cycles", cycles) ] ->
+    Some (Stall { step; warp; cycles })
+  | "io", [ ("step", step); ("warp", warp); ("extra", extra) ] ->
+    Some (Io_delay { step; warp; extra })
+  | _ -> None
 
-let trace_to_string events = Format.asprintf "%a" pp_trace events
+let trace_to_string events = P.trace_to_string fields events
 
-let parse_event line =
-  let fail () = failwith (Printf.sprintf "Faults.parse_trace: malformed line %S" line) in
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "fault"; kind; s; w; x ] -> (
-    let field name kv =
-      match String.split_on_char '=' kv with
-      | [ k; v ] when String.equal k name -> (
-        match int_of_string_opt v with Some n -> n | None -> fail ())
-      | _ -> fail ()
-    in
-    let step = field "step" s and warp = field "warp" w in
-    match kind with
-    | "pick" -> Pick { step; warp; index = field "index" x }
-    | "mem" -> Mem_spike { step; warp; extra = field "extra" x }
-    | "release" -> Release { step; warp; slot = field "slot" x }
-    | "stall" -> Stall { step; warp; cycles = field "cycles" x }
-    | "io" -> Io_delay { step; warp; extra = field "extra" x }
-    | _ -> fail ())
-  | _ -> fail ()
-
-let parse_trace text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         String.length l > 0 && not (String.length l >= 1 && l.[0] = '#'))
-  |> List.map parse_event
+let parse_trace text = P.parse_trace ~what:"Faults" of_fields text

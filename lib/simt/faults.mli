@@ -1,6 +1,6 @@
 (** Seeded fault injection for the SIMT simulator (the chaos harness).
 
-    An injector is consulted by the interpreter at three kinds of
+    An injector is consulted by the interpreter at four kinds of
     decision points, each with its own consultation counter:
 
     - {e pick}: a scheduler decision among [k >= 2] runnable convergence
@@ -16,12 +16,15 @@
       early, exactly like a threshold fire) or a forced stall (every
       ready lane's wake-up time is pushed back).
 
-    Faults are drawn from a SplitMix-seeded plan, so a run is
-    reproducible from its seed alone. Every {e applied} fault is
+    Faults are drawn from a SplitMix-seeded plan at fixed rates, so a
+    run is reproducible from its seed alone. Every {e applied} fault is
     recorded as an {!event} carrying its consultation index; the
     resulting trace can be printed, parsed back, and replayed with
     {!replay}, which re-applies exactly the recorded faults at the same
-    decision points (the simulator is deterministic in between). *)
+    decision points (the simulator is deterministic in between). The
+    plan, the recording and the trace format are
+    {!Support.Fault_plan}'s; this module holds the channels and their
+    draws. *)
 
 type event =
   | Pick of { step : int; warp : int; index : int }
@@ -34,24 +37,11 @@ type event =
 type disturbance = D_release of int  (** force-release this barrier slot *)
                  | D_stall of int  (** push ready lanes back this many cycles *)
 
-type rates = {
-  pick_rate : float;  (** P(override) per multi-candidate pick *)
-  mem_rate : float;  (** P(spike) per warp memory access *)
-  mem_spike_max : int;  (** spike size drawn from [1, max] *)
-  release_rate : float;  (** P(spurious release) per issue *)
-  stall_rate : float;  (** P(forced stall) per issue *)
-  stall_max : int;  (** stall length drawn from [1, max] *)
-  io_rate : float;  (** P(io-delay jitter) per warp memory access *)
-  io_max : int;  (** jitter size drawn from [1, max] *)
-}
-
-val default_rates : rates
-
 type t
 
-(** [create ?rates ~seed ()] — a generative injector; same seed, same
-    fault plan. *)
-val create : ?rates:rates -> seed:int -> unit -> t
+(** [create ~seed] — a generative injector; same seed, same fault
+    plan. *)
+val create : seed:int -> t
 
 (** [replay events] — an injector that re-applies exactly [events]. *)
 val replay : event list -> t
@@ -78,10 +68,9 @@ val io_delay : t -> warp:int -> int
     blocked lanes (candidates for a spurious release). *)
 val disturb : t -> warp:int -> waiting_slots:int list -> disturbance option
 
-val pp_event : Format.formatter -> event -> unit
-val pp_trace : Format.formatter -> event list -> unit
+(** One [fault KIND step=N warp=N FIELD=N] line per event. *)
 val trace_to_string : event list -> string
 
-(** Inverse of {!pp_trace}; blank lines and [#] comments are skipped.
+(** Inverse of {!trace_to_string}; blank lines and [#] comments are skipped.
     @raise Failure on a malformed line. *)
 val parse_trace : string -> event list

@@ -5,8 +5,10 @@ module T = Ir.Types
 
 exception Deadlock of string
 exception Runtime_error of string
-exception Runaway of string
-exception Deadline_exceeded of string
+
+type budget = Issue_cap | Fuel
+
+exception Out_of_budget of budget * string
 
 type yield_event = {
   at_cycle : int;
@@ -172,6 +174,12 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         w)
   in
   let n_threads = config.n_warps * config.warp_size in
+  (* The binding issue budget: fuel when it is set and tighter than the
+     cap, else the cap (which wins a tie). *)
+  let budget, limit =
+    if 0 < config.fuel && config.fuel < config.max_issues then (Fuel, config.fuel)
+    else (Issue_cap, config.max_issues)
+  in
   let cycle = ref 0 in
   let last_warp = ref (config.n_warps - 1) in
   (* Per-run scratch: simulation within one [run] is single-threaded, so
@@ -988,10 +996,13 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       let w = warps.(!sel_warp) in
       let pc = !sel_pc and active = !sel_mask in
       metrics.issues <- metrics.issues + 1;
-      if metrics.issues > config.max_issues then
-        raise (Runaway (Printf.sprintf "issue budget %d exhausted" config.max_issues));
-      if config.fuel > 0 && metrics.issues > config.fuel then
-        raise (Deadline_exceeded (Printf.sprintf "fuel %d exhausted" config.fuel));
+      if metrics.issues > limit then
+        raise
+          (Out_of_budget
+             ( budget,
+               match budget with
+               | Issue_cap -> Printf.sprintf "issue budget %d exhausted" limit
+               | Fuel -> Printf.sprintf "fuel %d exhausted" limit ));
       metrics.active_sum <- metrics.active_sum + Mask.count active;
       (match tracer with
       | Some observe ->

@@ -38,14 +38,17 @@ exception Runtime_error of string
 (** Type errors, out-of-bounds accesses, division by zero — annotated
     with warp, lane and pc. *)
 
-exception Runaway of string
-(** The configured [max_issues] budget was exhausted. *)
+(** Which issue budget ran out: [Issue_cap] is [config.max_issues], the
+    safety net against runaway programs; [Fuel] is [config.fuel], a
+    request deadline. *)
+type budget = Issue_cap | Fuel
 
-exception Deadline_exceeded of string
-(** The configured [fuel] deadline was reached: exactly [config.fuel]
-    instructions issued, then the run stopped. Deterministic — the issue
-    loop counts issues, not wall clock — so the same request exhausts
-    its deadline at the same instruction on every replay. *)
+exception Out_of_budget of budget * string
+(** The binding issue budget was exhausted: [config.fuel] when it is
+    set and below [config.max_issues], else [config.max_issues] (the cap
+    wins a tie). One check per issue. Deterministic — the loop counts
+    issues, not wall clock — so the same run exhausts its budget at the
+    same instruction on every replay. *)
 
 (** One yield-recovery release, for determinism tests and lost-convergence
     attribution: [released] lanes were forced past the wait at [slot];
@@ -97,7 +100,7 @@ type issue_event = {
 
     @raise Invalid_argument if [args] does not match the entry arity or
     [entry] names no function.
-    @raise Deadlock / Runtime_error / Runaway as documented above. *)
+    @raise Deadlock / Runtime_error / Out_of_budget as documented above. *)
 val run :
   ?tracer:(issue_event -> unit) ->
   ?faults:Faults.t ->

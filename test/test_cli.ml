@@ -41,10 +41,11 @@ let test_classify_per_failure_mode () =
   expect "runtime error -> runtime (7)"
     (Simt.Interp.Runtime_error "out of bounds")
     (Cli.Runtime_failure "out of bounds");
-  expect "runaway -> runtime (7)" (Simt.Interp.Runaway "issue budget")
+  expect "runaway -> runtime (7)"
+    (Simt.Interp.Out_of_budget (Simt.Interp.Issue_cap, "issue budget"))
     (Cli.Runtime_failure "runaway: issue budget");
   expect "deadline -> deadline (9)"
-    (Simt.Interp.Deadline_exceeded "fuel 50 exhausted")
+    (Simt.Interp.Out_of_budget (Simt.Interp.Fuel, "fuel 50 exhausted"))
     (Cli.Deadline_exceeded "fuel 50 exhausted");
   expect "tool-raised outcome passes through" (Cli.Error (Cli.Baseline_mismatch "x"))
     (Cli.Baseline_mismatch "x");

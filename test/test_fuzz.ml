@@ -7,7 +7,9 @@
      [srfuzz --seed 42] run;
    - deconfliction rescue: the §3 conflicting-barrier deadlock fires
      when the deconflict stage is skipped and is resolved when it runs;
-   - generator determinism: same seed and id, same program. *)
+   - generator determinism: same seed and id, same program;
+   - the non-ok verdicts known inputs reach, pinned to their exact text;
+   - both fault plans, pinned to the traces their seeds produce. *)
 
 module Oracle = Fuzz.Oracle
 module Pipeline = Fuzz.Pipeline
@@ -122,6 +124,55 @@ let test_deconflict_rescues_deadlock () =
   | Oracle.Ok_run -> ()
   | v -> Alcotest.failf "full oracle matrix: %a" Oracle.pp_verdict v
 
+(* ---- Non-ok verdicts ---- *)
+
+let verdict v = Format.asprintf "%a" Oracle.pp_verdict v
+
+let ill_typed_source =
+  {|global out: int[64];
+kernel k() {
+  var x: int = 1.5;
+  out[tid()] = x;
+}
+|}
+
+(* A task loop coarsened by hand. Every store is to a distinct cell, but
+   srrace cannot prove the loop-carried index injective, so the race
+   finding survives a matrix that realizes no race: the one input that
+   reaches the precision check run after the matrix. The verdict
+   becomes ok once srrace sums per-thread loop counters. *)
+let coarsened_source =
+  {|
+global out: int[128];
+kernel k() {
+  for c in 0 .. 2 {
+    out[tid() + c * nthreads()] = c;
+  }
+}
+|}
+
+let test_non_ok_verdicts () =
+  let check name want v = Alcotest.(check string) name want (verdict v) in
+  let ill = Front.Parser.parse_string ill_typed_source in
+  let stage_failure =
+    "VIOLATION stage-failure: lower: 3:3: 'x' declared int but initialised with float"
+  in
+  check "ill-typed kernel, standard tier" stage_failure (Oracle.check ill);
+  check "ill-typed kernel, repair tier" stage_failure (Oracle.check_repair ill);
+  (* Budget exhaustion is Limit in every tier; the repair tier's PDOM
+     reference run is where this program first runs out. *)
+  let tight = (Fuzz.Gen.generate ~seed:42 0).Fuzz.Gen.ast in
+  let limit = "limit (baseline/most-threads/k: issue budget 50 exhausted)" in
+  check "budget, standard tier" limit (Oracle.check ~max_issues:50 tight);
+  check "budget, repair tier" limit (Oracle.check_repair ~max_issues:50 tight);
+  check "coarsened task loop"
+    "VIOLATION race-spurious: no cell of the matrix realized a race, yet baseline: srrace: \
+     category=write-write func=k block=bb2 line=5 global=? other_func=k other_line=5 \
+     msg=threads of the same barrier interval may write the same cell ?[?] from this one store \
+     fix=separate the writes with a full wait.barrier, or make the store index injective in tid \
+     hint=insert-wait"
+    (Oracle.check (Front.Parser.parse_string coarsened_source))
+
 (* ---- Yield recovery (the fault-tolerance tentpole) ---- *)
 
 let digest (r : Simt.Interp.result) = Simt.Memsys.digest r.Simt.Interp.memory
@@ -220,17 +271,28 @@ kernel k() {
 }
 |}
 
+(* The plan seed 1905 applies to [divergent_source]: a changed draw
+   order in Simt.Faults or its plan core changes this text. *)
+let simt_plan_1905 =
+  {|fault stall step=23 warp=1 cycles=30
+fault pick step=16 warp=1 index=0
+fault stall step=176 warp=1 cycles=58
+fault stall step=192 warp=0 cycles=57
+fault stall step=340 warp=1 cycles=14
+|}
+
 let test_fault_trace_roundtrip_and_replay () =
   let ast = Front.Parser.parse_string divergent_source in
   let staged = Pipeline.compile ~mode:Pipeline.Specrecon ast in
   let config = { Oracle.base_config with Simt.Config.yield_on_stall = true } in
-  let faults = Simt.Faults.create ~seed:1905 () in
+  let faults = Simt.Faults.create ~seed:1905 in
   let a =
     Simt.Interp.run ~faults config staged.Pipeline.decoded ~args:[]
       ~init_memory:(Oracle.init_memory staged.Pipeline.program)
   in
   let events = Simt.Faults.events faults in
-  Alcotest.(check bool) "the plan injected something" true (events <> []);
+  Alcotest.(check string) "seed 1905 draws the same plan" simt_plan_1905
+    (Simt.Faults.trace_to_string events);
   Alcotest.(check bool) "trace survives print/parse round trip" true
     (Simt.Faults.parse_trace (Simt.Faults.trace_to_string events) = events);
   (* Replaying the recorded trace reproduces the faulted run exactly. *)
@@ -250,6 +312,78 @@ let test_fault_trace_roundtrip_and_replay () =
       ~init_memory:(Oracle.init_memory staged.Pipeline.program)
   in
   Alcotest.(check bool) "faulted memory matches the unfaulted run" true (digest a = digest clean)
+
+(* Seed 19's service plan over a fixed call sequence: 60 requests whose
+   lines grow from 20 bytes, with a file opportunity after every third
+   request. A changed draw order in Serve.Faults or its plan core
+   changes this text. *)
+let serve_plan_19 =
+  {|fault corrupt step=0
+fault fuel step=4 fuel=113
+fault abort step=5
+fault corrupt step=1
+fault trunc step=6 keep=16
+fault abort step=10
+fault slow step=12 chunk=2
+fault trunc step=14 keep=6
+fault corrupt step=4
+fault fuel step=18 fuel=148
+fault slow step=20 chunk=2
+fault slow step=21 chunk=6
+fault slow step=23 chunk=3
+fault slow step=24 chunk=7
+fault slow step=25 chunk=2
+fault abort step=26
+fault corrupt step=8
+fault fuel step=27 fuel=181
+fault corrupt step=9
+fault abort step=30
+fault fuel step=31 fuel=50
+fault slow step=32 chunk=7
+fault corrupt step=10
+fault slow step=33 chunk=4
+fault fuel step=34 fuel=24
+fault corrupt step=11
+fault trunc step=38 keep=32
+fault fuel step=40 fuel=184
+fault fuel step=41 fuel=35
+fault corrupt step=13
+fault fuel step=46 fuel=122
+fault corrupt step=15
+fault fuel step=48 fuel=59
+fault trunc step=49 keep=0
+fault fuel step=51 fuel=190
+fault fuel step=56 fuel=157
+fault slow step=57 chunk=4
+fault fuel step=58 fuel=90
+|}
+
+let serve_calls plan =
+  List.init 60 (fun i ->
+      let d = Serve.Faults.request_fault plan ~len:(20 + i) in
+      if i mod 3 = 2 then ignore (Serve.Faults.file_fault plan);
+      d)
+
+let test_serve_fault_plan () =
+  let plan = Serve.Faults.create ~seed:19 in
+  let dispositions = serve_calls plan in
+  let events = Serve.Faults.events plan in
+  Alcotest.(check string) "seed 19 draws the same plan" serve_plan_19
+    (Serve.Faults.trace_to_string events);
+  let parsed = Serve.Faults.parse_trace (Serve.Faults.trace_to_string events) in
+  Alcotest.(check bool) "trace survives print/parse round trip" true (parsed = events);
+  let replayed = Serve.Faults.replay parsed in
+  Alcotest.(check bool) "replay gives the same dispositions" true
+    (serve_calls replayed = dispositions);
+  Alcotest.(check bool) "replay applies the same faults" true
+    (Serve.Faults.events replayed = events);
+  (* A recorded truncation replayed against a shorter line keeps at most
+     all but its last byte, and the clamped cut is what gets recorded. *)
+  let short = Serve.Faults.replay (Serve.Faults.parse_trace "fault trunc step=0 keep=16\n") in
+  Alcotest.(check bool) "replayed truncation clamps to the line" true
+    (Serve.Faults.request_fault short ~len:10 = Serve.Faults.Truncated 9);
+  Alcotest.(check string) "the clamped cut is recorded" "fault trunc step=0 keep=9\n"
+    (Serve.Faults.trace_to_string (Serve.Faults.events short))
 
 let multi_kernel_source =
   {|
@@ -317,6 +451,7 @@ let tests =
         Alcotest.test_case "deconfliction rescues common-call deadlock" `Quick
           test_deconflict_rescues_deadlock;
         Alcotest.test_case "multi-kernel programs" `Quick test_multi_kernel_program;
+        Alcotest.test_case "non-ok verdicts pinned" `Quick test_non_ok_verdicts;
         Alcotest.test_case "corpus replay" `Slow test_corpus_replay;
         Alcotest.test_case "smoke campaign (seed 42)" `Slow test_smoke_campaign;
       ] );
@@ -330,6 +465,8 @@ let tests =
           test_deadlock_report_names_cycle;
         Alcotest.test_case "fault trace round-trips and replays" `Quick
           test_fault_trace_roundtrip_and_replay;
+        Alcotest.test_case "serve fault plan pinned, round-trips and replays" `Quick
+          test_serve_fault_plan;
         Alcotest.test_case "chaos campaign (seed 1234)" `Slow test_chaos_campaign;
       ] );
   ]

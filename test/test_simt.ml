@@ -306,14 +306,31 @@ let test_interp_runtime_errors () =
   expect_error "global out: int[64];\nkernel k() { out[tid()] = 1 / (tid() - tid()); }";
   expect_error "global out: int[64];\nkernel k() { out[tid()] = randint(0); }"
 
+(* Never terminates: [i] counts down from 0. *)
+let endless_source =
+  "global out: int[64];\nkernel k() { var i: int = 0; while (i < 1) { i = i - 1; } out[tid()] = i; }"
+
 let test_interp_runaway () =
   let config = { small_config with Simt.Config.max_issues = 1000 } in
-  let src =
-    "global out: int[64];\nkernel k() { var i: int = 0; while (i < 1) { i = i - 1; } out[tid()] = i; }"
-  in
-  match run_src ~config src with
-  | exception Simt.Interp.Runaway _ -> ()
+  match run_src ~config endless_source with
+  | exception Simt.Interp.Out_of_budget (Simt.Interp.Issue_cap, _) -> ()
   | _ -> Alcotest.fail "expected runaway protection to trigger"
+
+(* One budget binds a run: fuel when it is set and below the issue cap,
+   else the cap, which wins a tie. *)
+let test_interp_binding_budget () =
+  let expect name ~max_issues ~fuel want =
+    let config = { small_config with Simt.Config.max_issues; fuel } in
+    match run_src ~config endless_source with
+    | exception Simt.Interp.Out_of_budget (budget, msg) ->
+      check_bool name true ((budget, msg) = want)
+    | _ -> Alcotest.failf "%s: no budget ran out" name
+  in
+  let cap n = (Simt.Interp.Issue_cap, Printf.sprintf "issue budget %d exhausted" n) in
+  expect "cap alone" ~max_issues:1000 ~fuel:0 (cap 1000);
+  expect "fuel below the cap" ~max_issues:1000 ~fuel:50 (Simt.Interp.Fuel, "fuel 50 exhausted");
+  expect "the cap wins a tie" ~max_issues:50 ~fuel:50 (cap 50);
+  expect "cap below fuel" ~max_issues:50 ~fuel:1000 (cap 50)
 
 let test_interp_determinism () =
   let src =
@@ -613,6 +630,7 @@ let tests =
         Alcotest.test_case "arity error" `Quick test_interp_arity_error;
         Alcotest.test_case "runtime errors" `Quick test_interp_runtime_errors;
         Alcotest.test_case "runaway protection" `Quick test_interp_runaway;
+        Alcotest.test_case "one binding issue budget" `Quick test_interp_binding_budget;
         Alcotest.test_case "determinism" `Quick test_interp_determinism;
         Alcotest.test_case "policy-invariant results" `Quick test_interp_policies_same_results;
         Alcotest.test_case "rr cursor scoped to round-robin" `Quick test_interp_rr_state_scoped;
