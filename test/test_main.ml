@@ -6,4 +6,4 @@ let () =
    @ Test_passes.tests @ Test_simt.tests @ Test_opt.tests @ Test_workloads.tests
    @ Test_integration.tests @ Test_differential.tests @ Test_fuzz.tests
    @ Test_determinism.tests @ Test_lint.tests @ Test_race.tests @ Test_repair.tests
-   @ Test_cli.tests @ Test_serve.tests)
+   @ Test_cli.tests @ Test_serve.tests @ Test_identity.tests)
