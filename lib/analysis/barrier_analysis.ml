@@ -76,60 +76,44 @@ let joined_at t { block; index } =
 
 let live_at t { block; index } =
   (* Replay backward from the block's live-out down to the point. *)
-  let insts = (Ir.Types.block t.func block).insts in
-  let n = List.length insts in
-  let suffix = List.filteri (fun i _ -> i >= index) insts in
-  ignore n;
+  let suffix = List.filteri (fun i _ -> i >= index) (Ir.Types.block t.func block).insts in
   List.fold_left (live_step ~call_waits:t.call_waits) (live_out t block) (List.rev suffix)
-
-let points_satisfying t pred barrier =
-  let points = ref [] in
-  Ir.Types.iter_blocks t.func (fun b ->
-      let n = List.length b.insts in
-      for index = 0 to n do
-        let pt = { block = b.id; index } in
-        if Int_set.mem barrier (pred t pt) then points := pt :: !points
-      done);
-  List.rev !points
-
-let live_points t barrier = points_satisfying t live_at barrier
-let joined_points t barrier = points_satisfying t joined_at barrier
-
-let barriers_of_func func =
-  let acc = ref Int_set.empty in
-  Ir.Types.iter_blocks func (fun b ->
-      List.iter
-        (fun i -> match Ir.Types.barrier_of i with Some x -> acc := Int_set.add x !acc | None -> ())
-        b.insts);
-  !acc
-
-module Point_set = Set.Make (struct
-  type t = point
-
-  let compare = compare
-end)
 
 let conflicts t =
   (* §4.3: "a barrier live range extends from the moment threads join the
      barrier until the barrier is cleared either by waiting or exiting" —
      i.e. the joined range (Equation 1, with the effects of already
      inserted Cancel/Rejoin primitives), which is what Figure 5's interval
-     arrows depict. *)
-  let barriers = Int_set.elements (barriers_of_func t.func) in
-  let range b = Point_set.of_list (joined_points t b) in
-  let ranges = List.map (fun b -> (b, range b)) barriers in
-  let rec pairs = function
-    | [] -> []
-    | (b1, r1) :: rest ->
-      List.filter_map
-        (fun (b2, r2) ->
-          let overlap = not (Point_set.disjoint r1 r2) in
-          let inclusive = Point_set.subset r1 r2 || Point_set.subset r2 r1 in
-          if overlap && not inclusive then Some (min b1 b2, max b1 b2) else None)
-        rest
-      @ pairs rest
+     arrows depict. Two ranges conflict when they overlap and neither
+     contains the other. One replay per block visits every point once,
+     counting the points in each barrier's range and in each pair's
+     intersection: the pair overlaps iff it shares a point, and a range
+     lies inside the other iff the shared count equals its own. *)
+  let size = Hashtbl.create 16 and shared = Hashtbl.create 16 in
+  let bump tbl key =
+    Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
   in
-  List.sort_uniq compare (pairs ranges)
+  let rec count = function
+    | [] -> ()
+    | b1 :: rest ->
+      bump size b1;
+      List.iter (fun b2 -> bump shared (b1, b2)) rest;
+      count rest
+  in
+  Ir.Types.iter_blocks t.func (fun b ->
+      let exit_state =
+        List.fold_left
+          (fun state inst ->
+            count (Int_set.elements state);
+            joined_step ~call_waits:t.call_waits state inst)
+          (joined_in t b.id) b.insts
+      in
+      count (Int_set.elements exit_state));
+  Hashtbl.fold
+    (fun (b1, b2) n acc ->
+      if n < Hashtbl.find size b1 && n < Hashtbl.find size b2 then (b1, b2) :: acc else acc)
+    shared []
+  |> List.sort compare
 
 let pp ppf t =
   Ir.Types.iter_blocks t.func (fun b ->

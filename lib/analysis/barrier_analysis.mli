@@ -52,19 +52,15 @@ val joined_at : t -> point -> Int_set.t
 
 val live_at : t -> point -> Int_set.t
 
-(** [live_points t barrier] — every program point where [barrier] is live
-    in the Equation-2 (backward) sense. *)
-val live_points : t -> int -> point list
-
-(** [joined_points t barrier] — every program point where a thread may be
-    an uncleared member of [barrier]: the §4.3 "live range ... from the
-    moment threads join the barrier until the barrier is cleared", which
-    Figure 5's interval arrows depict. *)
-val joined_points : t -> int -> point list
-
-(** [conflicts t] — pairs of barriers whose {!joined_points} ranges
-    overlap non-inclusively (neither contains the other), i.e. the §4.3
-    conflicts. Each unordered pair is reported once, smaller id first. *)
+(** [conflicts t] — pairs of barriers whose joined ranges overlap
+    non-inclusively (neither contains the other), i.e. the §4.3
+    conflicts. A barrier's joined range is every program point where a
+    thread may be an uncleared member of it ({!joined_at}): the §4.3
+    "live range ... from the moment threads join the barrier until the
+    barrier is cleared", which Figure 5's interval arrows depict. Each
+    unordered pair is reported once, smaller id first, in sorted order.
+    Linear in the function's size: one replay of each block counts every
+    range's points and every pair's shared points. *)
 val conflicts : t -> (int * int) list
 
 val pp : Format.formatter -> t -> unit

@@ -473,24 +473,30 @@ let check ?(speculative = []) (p : T.program) =
            add Unallocated_slot slot site
              (Printf.sprintf "wait/cancel on b%d, but no join/rejoin arrives on it anywhere" slot)
              "insert join.barrier on every participating path, or delete the orphan primitive");
-  (* Rule 4: partially-overlapping live ranges with mutual blocking. *)
-  List.iter
-    (fun n ->
-      let f = Hashtbl.find p.T.funcs n in
-      let ba = Barrier_analysis.run ~call_waits:sums.entry_waits f in
-      List.iter
-        (fun (x, y) ->
-          match (Hashtbl.find_opt edges (x, y), Hashtbl.find_opt edges (y, x)) with
-          | Some site, Some _ ->
-            add ~related:[ y ] Unseparated_overlap x site
-              (Printf.sprintf
-                 "slots b%d and b%d overlap partially and can each block a holder of the \
-                  other; Deconflict should have separated them"
-                 x y)
-              "re-run deconfliction on this pair, or cancel the held slot before the wait"
-          | _ -> ())
-        (Barrier_analysis.conflicts ba))
-    names;
+  (* Rule 4: partially-overlapping live ranges with mutual blocking. A
+     conflicting pair is reported only when its slots have waits-for
+     edges both ways, so without such a pair the analysis is skipped. *)
+  let mutual =
+    Hashtbl.fold (fun (a, b) _ acc -> acc || (a <> b && Hashtbl.mem edges (b, a))) edges false
+  in
+  if mutual then
+    List.iter
+      (fun n ->
+        let f = Hashtbl.find p.T.funcs n in
+        let ba = Barrier_analysis.run ~call_waits:sums.entry_waits f in
+        List.iter
+          (fun (x, y) ->
+            match (Hashtbl.find_opt edges (x, y), Hashtbl.find_opt edges (y, x)) with
+            | Some site, Some _ ->
+              add ~related:[ y ] Unseparated_overlap x site
+                (Printf.sprintf
+                   "slots b%d and b%d overlap partially and can each block a holder of the \
+                    other; Deconflict should have separated them"
+                   x y)
+                "re-run deconfliction on this pair, or cancel the held slot before the wait"
+            | _ -> ())
+          (Barrier_analysis.conflicts ba))
+      names;
   (* Rule 1: cycles in the waits-for relation. *)
   let edge_nodes =
     Hashtbl.fold (fun (a, b) _ acc -> Int_set.add a (Int_set.add b acc)) edges Int_set.empty

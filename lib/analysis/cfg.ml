@@ -3,6 +3,7 @@ let synthetic_exit = -1
 type t = {
   entry : int;
   order : int list; (* reverse post order from entry *)
+  reachable : (int, unit) Hashtbl.t; (* the nodes of [order] *)
   succ_tbl : (int, int list) Hashtbl.t;
   pred_tbl : (int, int list) Hashtbl.t;
 }
@@ -45,7 +46,7 @@ let build ~entry ~edges =
   in
   restrict succ_tbl;
   restrict pred_tbl;
-  { entry; order; succ_tbl; pred_tbl }
+  { entry; order; reachable; succ_tbl; pred_tbl }
 
 let of_func ?live_edge (f : Ir.Types.func) =
   let keep = match live_edge with None -> fun _ _ -> true | Some p -> p in
@@ -60,7 +61,7 @@ let entry g = g.entry
 let nodes g = g.order
 let succs g id = lookup g.succ_tbl id
 let preds g id = lookup g.pred_tbl id
-let mem g id = List.mem id g.order
+let mem g id = Hashtbl.mem g.reachable id
 let size g = List.length g.order
 let rpo g = g.order
 

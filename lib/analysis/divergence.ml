@@ -14,27 +14,24 @@ let op_divergent divregs = function
   | Ir.Types.Imm _ -> false
 
 (* Blocks control-dependent on at least one divergent branch: X is control
-   dependent on branch block B iff B is in X's post-dominance frontier. *)
-let control_dependent_blocks g pdom divergent_branches =
-  let rgraph = Dom.Post.graph pdom in
-  let tree = Dom.Post.tree pdom in
+   dependent on branch block B iff B is in X's post-dominance frontier
+   [pdf x]. *)
+let control_dependent_blocks g pdf divergent_branches =
   List.filter
-    (fun x ->
-      let pdf = Dom.frontier tree rgraph x in
-      List.exists (fun b -> Int_set.mem b divergent_branches) pdf)
+    (fun x -> List.exists (fun b -> Int_set.mem b divergent_branches) (pdf x))
     (Cfg.nodes g)
   |> Int_set.of_list
 
 let analyze_func ~callee_div (f : Ir.Types.func) ~params_divergent =
   let g = Cfg.of_func f in
-  let pdom = Dom.Post.compute g in
+  let pdf = Dom.Post.frontiers (Dom.Post.compute g) in
   let divregs = ref (if params_divergent then Int_set.of_list f.params else Int_set.empty) in
   let divbranches = ref Int_set.empty in
   let returns = ref false in
   let changed = ref true in
   while !changed do
     changed := false;
-    let cd_blocks = control_dependent_blocks g pdom !divbranches in
+    let cd_blocks = control_dependent_blocks g pdf !divbranches in
     let mark r =
       if not (Int_set.mem r !divregs) then begin
         divregs := Int_set.add r !divregs;

@@ -153,9 +153,7 @@ let loop_body_entry (f : T.func) (loop : Analysis.Loops.loop) =
    that executes with a partial mask no matter how threads are collected.
    Loop Merge cannot make these convergent, so they do not count toward
    the common-code benefit (§4.5's "divergence properties"). *)
-let divergently_executed pdom div_branches blocks =
-  let tree = Analysis.Dom.Post.tree pdom in
-  let rgraph = Analysis.Dom.Post.graph pdom in
+let divergently_executed pdf div_branches blocks =
   (* Transitive control dependence: a block nested under a uniform inner
      structure that is itself guarded by a divergent branch still executes
      divergently. *)
@@ -170,7 +168,7 @@ let divergently_executed pdom div_branches blocks =
             List.exists
               (fun b ->
                 ISet.mem b blocks && (ISet.mem b div_branches || ISet.mem b !result))
-              (Analysis.Dom.frontier tree rgraph x)
+              (pdf x)
           in
           if depends then begin
             result := ISet.add x !result;
@@ -187,6 +185,7 @@ let detect_in_func ?profile params (p : T.program) divergence name =
     let g = Analysis.Cfg.of_func f in
     let dom = Analysis.Dom.compute g in
     let pdom = Analysis.Dom.Post.compute g in
+    let pdf = Analysis.Dom.Post.frontiers pdom in
     let loops = Analysis.Loops.compute g dom in
     let div_branches = Analysis.Divergence.divergent_branches divergence ~func:name in
     let all = Analysis.Loops.loops loops in
@@ -218,7 +217,7 @@ let detect_in_func ?profile params (p : T.program) divergence name =
                     (ISet.inter div_branches li.body)
                 in
                 let common =
-                  ISet.diff li.body (divergently_executed pdom interior_div_branches li.body)
+                  ISet.diff li.body (divergently_executed pdf interior_div_branches li.body)
                 in
                 let s, common_cost, serial_cost = score ~common ~serial in
                 Some
