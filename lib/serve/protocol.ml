@@ -4,6 +4,24 @@
    byte-identical whenever the payloads are — the property the serve
    determinism tests and the serve-mismatch oracle compare on. *)
 
+(* ---- numbers ---- *)
+
+(* The one number check: digits only, as the printers emit them. Hex
+   fields are bare hex digits; int fields are an optional '-' and
+   decimal digits. OCaml's int_of_string alone also takes "0x10", "1_0",
+   "+2" and "0b11", reading a field as a number it does not spell. *)
+let parse_int ?(hex = false) s =
+  let digit c =
+    (c >= '0' && c <= '9') || (hex && ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')))
+  in
+  let digits =
+    if (not hex) && String.starts_with ~prefix:"-" s then String.sub s 1 (String.length s - 1)
+    else s
+  in
+  if digits <> "" && String.for_all digit digits then
+    int_of_string_opt (if hex then "0x" ^ s else s)
+  else None
+
 (* ---- percent encoding ---- *)
 
 let must_escape c = c = '%' || c = ' ' || c = '\t' || c = '\r' || c = '\n'
@@ -32,7 +50,7 @@ let decode s =
        else begin
          if !i + 2 >= n then failwith "truncated %-escape";
          let hex = String.sub s (!i + 1) 2 in
-         match int_of_string_opt ("0x" ^ hex) with
+         match parse_int ~hex:true hex with
          | Some code -> Buffer.add_char buf (Char.chr code); i := !i + 2
          | None -> failwith (Printf.sprintf "bad %%-escape %%%s" hex)
        end);
@@ -147,7 +165,7 @@ let require tbl key =
   | None -> raise (Bad (Printf.sprintf "missing required field %S" key))
 
 let int_field key v =
-  match int_of_string_opt v with
+  match parse_int v with
   | Some i -> i
   | None -> raise (Bad (Printf.sprintf "field %s=%S is not an integer" key v))
 
@@ -333,7 +351,7 @@ let parse_response line =
         let finished = int_field "finished" (require tbl "finished") in
         let digest =
           let v = require tbl "digest" in
-          match int_of_string_opt ("0x" ^ v) with
+          match parse_int ~hex:true v with
           | Some d -> d
           | None -> raise (Bad (Printf.sprintf "field digest=%S is not hex" v))
         in

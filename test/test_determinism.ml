@@ -62,12 +62,13 @@ let test_serve_domain_independence () =
    Serve.Transport socket server must come back byte-identical whatever
    SPECRECON_DOMAINS says — the select-loop transport adds no
    nondeterminism of its own on top of the engine's ordered batch
-   phases. The server runs in a spawned domain rather than a forked
-   child: OCaml 5 forbids Unix.fork in any process that ever created a
-   domain, and the sibling tests here force 4-domain pools (the forked
-   lifecycle — exit 0 on drain, kill -9 restarts — is covered by
-   srserved --smoke and srfuzz --serve-chaos, whose parents never touch
-   Domain_pool before forking). *)
+   phases. A second connection then shares the warm server: its first
+   run must hit the cache the first connection filled. The server runs
+   in a spawned domain rather than a forked child: OCaml 5 forbids
+   Unix.fork in any process that ever created a domain, and the sibling
+   tests here force 4-domain pools (the forked lifecycle — exit 0 on
+   drain, kill -9 restarts — is covered by srfuzz --serve-chaos, whose
+   parent never touches Domain_pool before forking). *)
 let render_socket domains =
   Test_support.with_domains domains (fun () ->
       let dir = Filename.temp_file "srsockdet" "" in
@@ -85,6 +86,13 @@ let render_socket domains =
       let stream =
         let c = Serve.Client.connect socket_path in
         let responses = Serve.Client.round_trip c serve_trace in
+        let c2 = Serve.Client.connect socket_path in
+        (match Serve.Protocol.parse_response (Serve.Client.rpc c2 (List.hd serve_trace)) with
+        | Ok (Serve.Protocol.Ok_run r) ->
+          Alcotest.(check bool) "a second connection hits the shared cache" true
+            (r.Serve.Protocol.cache = Serve.Protocol.Hit)
+        | _ -> Alcotest.fail "a second connection's run got no ok answer");
+        Serve.Client.close c2;
         let bye =
           Serve.Client.round_trip c [ Serve.Protocol.print_command Serve.Protocol.Shutdown ]
         in

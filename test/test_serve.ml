@@ -33,7 +33,7 @@ let test_decode_rejects_bad_escapes () =
       match P.decode s with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail ("decode accepted " ^ s))
-    [ "%"; "%2"; "%zz"; "trailing%2" ]
+    [ "%"; "%2"; "%zz"; "trailing%2"; "%1_"; "%+1" ]
 
 (* ---- protocol: command and response round trips ---- *)
 
@@ -95,7 +95,18 @@ let test_response_round_trips () =
          phits = 3;
          pcorrupt = 1;
        });
-  round_trip_response P.Bye
+  round_trip_response P.Bye;
+  (* The digest is bare hex, as printed; OCaml literal syntax is not. *)
+  List.iter
+    (fun digest ->
+      let line =
+        "ok id=1 cache=hit hits=0 misses=0 evictions=0 cycles=1 issues=1 active=1 finished=1 \
+         digest=" ^ digest
+      in
+      match P.parse_response line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("parser accepted " ^ line))
+    [ "0x10"; "1_0"; "+1"; "" ]
 
 let test_malformed_commands () =
   List.iter
@@ -114,6 +125,12 @@ let test_malformed_commands () =
       "run id=1 source=%zz";         (* bad escape *)
       "run id=1 id=2 source=x";      (* duplicate key *)
       "run id=1 deadline=-1 source=x"; (* negative deadline *)
+      "run id=0x10 source=x";        (* non-decimal integers *)
+      "run id=0b11 source=x";
+      "run id=1_0 source=x";
+      "run id=1 warps=+2 source=x";
+      "run id=1 threshold=- source=x";
+      "run id=1 source=%1_";         (* non-hex escape *)
       "ok rid=1";                    (* response head on the request side *)
     ]
 
@@ -516,23 +533,25 @@ let test_server_drain () =
 
 (* Every Table-2 workload through the server must answer with exactly
    the metrics and memory digest the one-shot pipeline produces for the
-   same compile options and launch configuration. *)
+   same compile options and launch configuration. A second pass over
+   the warm cache must hit on every request and answer, cache fields
+   aside, byte-identically. *)
 let test_registry_differential () =
   let server = Server.create ~cache_capacity:64 () in
-  List.iter
-    (fun (spec : Workloads.Spec.t) ->
-      let request =
-        P.make_request ~id:0 ~warps:1 ?coarsen:spec.Workloads.Spec.coarsen
-          ~args:spec.Workloads.Spec.args ~source:spec.Workloads.Spec.source ()
-      in
-      let served =
-        match Server.submit server [ P.Run request ] with
-        | [ P.Ok_run r ] -> r
-        | [ other ] ->
-          Alcotest.failf "%s: server answered %s" spec.Workloads.Spec.name
-            (P.print_response other)
-        | other -> Alcotest.failf "%s: %d responses" spec.Workloads.Spec.name (List.length other)
-      in
+  let serve (spec : Workloads.Spec.t) =
+    let request =
+      P.make_request ~id:0 ~warps:1 ?coarsen:spec.Workloads.Spec.coarsen
+        ~args:spec.Workloads.Spec.args ~source:spec.Workloads.Spec.source ()
+    in
+    match Server.submit server [ P.Run request ] with
+    | [ P.Ok_run r ] -> r
+    | [ other ] ->
+      Alcotest.failf "%s: server answered %s" spec.Workloads.Spec.name (P.print_response other)
+    | other -> Alcotest.failf "%s: %d responses" spec.Workloads.Spec.name (List.length other)
+  in
+  let first = List.map serve Workloads.Registry.all in
+  List.iter2
+    (fun (spec : Workloads.Spec.t) served ->
       let options =
         {
           Core.Compile.mode = Core.Compile.Speculative Passes.Deconflict.Dynamic;
@@ -565,7 +584,18 @@ let test_registry_differential () =
       check_int (name ^ " finished") m.Simt.Metrics.threads_finished served.P.finished;
       check_int (name ^ " digest") (Simt.Memsys.digest oneshot.Core.Runner.memory)
         served.P.digest)
-    Workloads.Registry.all
+    Workloads.Registry.all first;
+  let launch_fields (r : P.reply) =
+    P.print_response (P.Ok_run { r with P.cache = P.Miss; hits = 0; misses = 0; evictions = 0 })
+  in
+  List.iter2
+    (fun (spec : Workloads.Spec.t) first_reply ->
+      let again = serve spec in
+      let name = spec.Workloads.Spec.name in
+      check_bool (name ^ " second pass hits the cache") true (again.P.cache = P.Hit);
+      check_string (name ^ " second pass answers the same") (launch_fields first_reply)
+        (launch_fields again))
+    Workloads.Registry.all first
 
 let tests =
   [
