@@ -21,31 +21,15 @@ type dump =
   | Dump_candidates
   | Dump_source
 
-let mode_of_string = function
-  | "baseline" -> Core.Compile.Baseline
-  | "none" -> Core.Compile.No_sync
-  | "specrecon" -> Core.Compile.Speculative Passes.Deconflict.Dynamic
-  | "specrecon-static" -> Core.Compile.Speculative Passes.Deconflict.Static
-  | "auto" ->
-    Core.Compile.Automatic
-      {
-        params = Passes.Auto_detect.default_params;
-        strategy = Passes.Deconflict.Dynamic;
-        profile = None;
-      }
-  | other -> raise (Core.Cli.Error (Core.Cli.Usage ("unknown mode " ^ other)))
-
 let run path mode coarsen threshold dumps emit_decoded lint_mode no_lint no_deconflict
     race_mode no_race fix fix_dry_run fix_budget =
-  let mode = mode_of_string mode in
+  let mode =
+    match List.assoc_opt mode Core.Compile.modes with
+    | Some mode -> mode
+    | None -> raise (Core.Cli.Error (Core.Cli.Usage ("unknown mode " ^ mode)))
+  in
   let dumps = if emit_decoded then dumps @ [ Dump_decoded ] else dumps in
   (
-    let threshold =
-      match threshold with
-      | None -> Core.Compile.Keep
-      | Some k when k < 0 -> Core.Compile.Unset
-      | Some k -> Core.Compile.Set k
-    in
     let repair =
       if fix || fix_dry_run then
         Core.Compile.Repair { dry_run = fix_dry_run; max_edits = fix_budget }
@@ -60,7 +44,7 @@ let run path mode coarsen threshold dumps emit_decoded lint_mode no_lint no_deco
     let options =
       { Core.Compile.mode;
         coarsen;
-        threshold;
+        threshold = Core.Compile.threshold_of_option threshold;
         cleanup = true;
         lint = not (lint_mode || no_lint || fix_dry_run);
         deconflict = not no_deconflict;
@@ -89,6 +73,11 @@ let run path mode coarsen threshold dumps emit_decoded lint_mode no_lint no_deco
       Format.printf "srlint: %d finding(s) in %s@." (List.length findings) path;
       if findings <> [] then raise (Core.Cli.Error Core.Cli.Findings)
     | compiled ->
+      (* Findings lint=false let through (--no-lint, --fix-dry-run) are
+         warnings; with lint on, the compile would have failed. *)
+      List.iter
+        (fun f -> Format.eprintf "warning: %a@." Analysis.Barrier_safety.pp_machine f)
+        compiled.Core.Compile.lint_findings;
       (* Race stage reporting mirrors srlint: --race collects the
          findings as machine-readable srrace: lines and exits 1 on any;
          by default they are demoted to stderr warnings (a race can be

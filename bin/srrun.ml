@@ -24,51 +24,30 @@ let parse_args args =
         | None -> usage (Printf.sprintf "bad kernel argument %S (expected int or float)" s)))
     args
 
-let mode_of_string = function
-  | "baseline" -> Core.Compile.Baseline
-  | "none" -> Core.Compile.No_sync
-  | "specrecon" -> Core.Compile.Speculative Passes.Deconflict.Dynamic
-  | "specrecon-static" -> Core.Compile.Speculative Passes.Deconflict.Static
-  | "auto" ->
-    Core.Compile.Automatic
-      {
-        params = Passes.Auto_detect.default_params;
-        strategy = Passes.Deconflict.Dynamic;
-        profile = None;
-      }
-  | other -> usage ("unknown mode " ^ other)
+let lookup what names name =
+  match List.assoc_opt name names with
+  | Some v -> v
+  | None -> usage (Printf.sprintf "unknown %s %s" what name)
 
-let policy_of_string = function
-  | "most-threads" -> Simt.Config.Most_threads
-  | "lowest-pc" -> Simt.Config.Lowest_pc
-  | "round-robin" -> Simt.Config.Round_robin
-  | other -> usage ("unknown policy " ^ other)
-
-let yield_policy_of_string = function
-  | "oldest-arrival" -> Simt.Config.Oldest_arrival
-  | "most-waiters" -> Simt.Config.Most_waiters
-  | "lowest-slot" -> Simt.Config.Lowest_slot
-  | other -> usage ("unknown yield policy " ^ other)
+let yield_policies =
+  [ ("oldest-arrival", Simt.Config.Oldest_arrival);
+    ("most-waiters", Simt.Config.Most_waiters);
+    ("lowest-slot", Simt.Config.Lowest_slot) ]
 
 let run path mode coarsen threshold warps warp_size policy seed deadline yield yield_policy chaos
     replay fault_trace no_deconflict no_lint fix race_check digest check_baseline entry args =
   if deadline < 0 then usage "--deadline must be >= 0 (0 = unlimited)";
-  let mode = mode_of_string mode in
-  let threshold =
-    match threshold with
-    | None -> Core.Compile.Keep
-    | Some k when k < 0 -> Core.Compile.Unset
-    | Some k -> Core.Compile.Set k
-  in
+  let mode = lookup "mode" Core.Compile.modes mode in
+  let threshold = Core.Compile.threshold_of_option threshold in
   let config =
     { Simt.Config.default with
       Simt.Config.n_warps = warps;
       warp_size;
-      policy = policy_of_string policy;
+      policy = lookup "policy" Simt.Config.policies policy;
       seed;
       fuel = deadline;
       yield_on_stall = yield;
-      yield_policy = yield_policy_of_string yield_policy }
+      yield_policy = lookup "yield policy" yield_policies yield_policy }
   in
   let options =
     { Core.Compile.mode;
@@ -98,7 +77,17 @@ let run path mode coarsen threshold warps warp_size policy seed deadline yield y
   in
   if fault_trace <> None && faults = None then
     usage "--fault-trace requires a fault source (--chaos or --replay)";
-  let compiled = Core.Compile.compile options ~source in
+  (* Findings lint=false lets through (--no-lint, the --check-baseline
+     reference build) are warnings; with lint on, the compile would have
+     failed. *)
+  let compile options =
+    let compiled = Core.Compile.compile options ~source in
+    List.iter
+      (fun f -> Format.eprintf "warning: %a@." Analysis.Barrier_safety.pp_machine f)
+      compiled.Core.Compile.lint_findings;
+    compiled
+  in
+  let compiled = compile options in
   let race =
     if race_check then
       Some
@@ -136,7 +125,7 @@ let run path mode coarsen threshold warps warp_size policy seed deadline yield y
         repair = Core.Compile.No_repair }
     in
     let base_config = { config with Simt.Config.yield_on_stall = false } in
-    let base = Core.Runner.run_source ~config:base_config ?entry base_options ~source ~args in
+    let base = Core.Runner.launch ~config:base_config ?entry (compile base_options) ~args in
     let got = Simt.Memsys.digest outcome.Core.Runner.memory in
     let want = Simt.Memsys.digest base.Core.Runner.memory in
     if got <> want then

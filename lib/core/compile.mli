@@ -57,9 +57,10 @@ type options = {
           exercise the simulator's degraded-mode behaviour. *)
   lint : bool;
       (** treat {!Analysis.Barrier_safety} findings as a hard error
-          ([Failure]); when false they are demoted to stderr warnings
-          (srcc's [--no-lint]). The checker always runs; findings are
-          reported in {!compiled.lint_findings} either way. *)
+          ([Failure]); when false they come back as data in
+          {!compiled.lint_findings}, and the caller reports them (srcc
+          and srrun print them as warnings under [--no-lint]). The
+          checker always runs. *)
   race : bool;
       (** run {!Analysis.Race_safety} after the lint gate; on by
           default, off under srcc's [--no-race]. Unlike lint, findings
@@ -79,6 +80,16 @@ type options = {
 val baseline : options
 val speculative : options (* dynamic deconfliction, source thresholds *)
 val automatic : options
+
+(** Every mode by the name srcc, srrun and the serve protocol spell it,
+    in the order the protocol's error text lists them:
+    [baseline|none|specrecon|specrecon-static|auto]. *)
+val modes : (string * mode) list
+
+(** The threshold flag's rule (srcc, srrun and the protocol's
+    [threshold=]): absent keeps the source's thresholds, a negative value
+    forces hard barriers, anything else sets that threshold. *)
+val threshold_of_option : int option -> threshold_override
 
 (** What the repair stage did, when {!options.repair} enabled it. *)
 type repair_report = {
@@ -110,11 +121,8 @@ type compiled = {
 
 (** {2 Stage helpers}
 
-    Also used by the fuzzer's staged pipeline, so it tests what ships. *)
-
-(** Drops every Predict hint: the PDOM-only and automatic modes ignore
-    the source's hints. *)
-val strip_hints : Ir.Types.program -> unit
+    The pieces of the speculative sequence a caller needs to rebuild one
+    stage by hand, as the call-wait ablation test does. *)
 
 (** [make_priority ~applied ~interproc ~pdom] ranks barriers for
     {!Passes.Deconflict} (§4.1): user hints beat region barriers beat
@@ -134,11 +142,43 @@ val speculative_meta :
   interproc:Passes.Interproc.applied list ->
   Analysis.Barrier_safety.speculative list
 
-(** [compile options ~source] runs parse → (coarsen) → lower → threshold
-    override → synchronization passes → deconfliction → verify →
-    linearize.
-    @raise Front.Parser.Parse_error / Front.Lower.Lower_error / Failure. *)
-val compile : options -> source:string -> compiled
+(** {2 The stage sequence}
 
-(** Same from an already-parsed AST. *)
-val compile_ast : options -> Front.Ast.program -> compiled
+    [compile] runs these stages, in this order; each runs only when the
+    options ask for it:
+    - [parse] ({!compile} only);
+    - [coarsen] (when [coarsen] is set);
+    - [lower];
+    - [detect]: threshold override, hint stripping (baseline, none,
+      automatic) and {!Passes.Auto_detect} (automatic);
+    - [specrecon], [interproc] (speculative and automatic);
+    - [pdom_sync] (every mode but none);
+    - [deconflict] (speculative and automatic, when [deconflict]);
+    - [cleanup] (when [cleanup]);
+    - [verify];
+    - [lint]: {!Analysis.Barrier_safety}, then the [repair] stage nested
+      inside it (when [repair] asks), then the gate (when [lint]);
+    - [race] (when [race]), with [race.rebuild] nested inside it when
+      speculative findings need the PDOM placement to diff against;
+    - [linearize];
+    - [decode]. *)
+
+(** Watches one compile. [stage name thunk] wraps every stage and must
+    run [thunk] exactly once and return its result, or raise. [after name
+    program] sees the program once a stage that rewrites it returns: after
+    [lower], [detect], [specrecon], [interproc], [pdom_sync],
+    [deconflict], [cleanup], and an accepted, non-dry-run [repair] (whose
+    program replaces the original). *)
+type observer = {
+  stage : 'a. string -> (unit -> 'a) -> 'a;
+  after : string -> Ir.Types.program -> unit;
+}
+
+(** [compile options ~source] runs the stage sequence above. Without
+    [observe] nothing watches it. Nothing is printed: lint findings let
+    through by [lint = false] are in {!compiled.lint_findings}.
+    @raise Front.Parser.Parse_error / Front.Lower.Lower_error / Failure. *)
+val compile : ?observe:observer -> options -> source:string -> compiled
+
+(** Same from an already-parsed AST (no [parse] stage). *)
+val compile_ast : ?observe:observer -> options -> Front.Ast.program -> compiled

@@ -1,4 +1,5 @@
 module T = Ir.Types
+module C = Core.Compile
 module Sm = Support.Splitmix
 module Sp = Serve.Protocol
 
@@ -47,12 +48,7 @@ let pp_verdict ppf = function
   | Limit msg -> Format.fprintf ppf "limit (%s)" msg
   | Violation { kind; detail } -> Format.fprintf ppf "VIOLATION %s: %s" (kind_name kind) detail
 
-let policies = [ Simt.Config.Most_threads; Simt.Config.Lowest_pc; Simt.Config.Round_robin ]
-
-let policy_name = function
-  | Simt.Config.Most_threads -> "most-threads"
-  | Simt.Config.Lowest_pc -> "lowest-pc"
-  | Simt.Config.Round_robin -> "round-robin"
+let policies = List.map snd Simt.Config.policies
 
 let base_config =
   { Simt.Config.default with Simt.Config.n_warps = Gen.n_threads / 32; seed = 11 }
@@ -101,13 +97,34 @@ let round_trip ast =
   | exception Front.Lexer.Lex_error (p, msg) ->
     violate Round_trip "pretty output does not lex: %s: %s" (pos p) msg
 
-(* Both builds, PDOM baseline first: the order every tier reports in. *)
+(* Stage health: a stage that raises, or leaves the program
+   verifier-unclean, is a stage failure named by its stage. *)
+let stage_health =
+  {
+    C.stage =
+      (fun name f ->
+        match f () with
+        | v -> v
+        | exception Failure msg -> violate Stage_failure "%s: %s" name msg
+        | exception Front.Lower.Lower_error (p, msg) ->
+          violate Stage_failure "%s: %s" name (Format.asprintf "%a: %s" Front.Ast.pp_pos p msg));
+    after =
+      (fun name program ->
+        match Ir.Verifier.check_program program with
+        | [] -> ()
+        | errors ->
+          violate Stage_failure "verify:%s: %s" name
+            (String.concat "; " (List.map (show Ir.Verifier.pp_error) errors)));
+  }
+
+(* Both builds, PDOM baseline first: the order every tier reports in.
+   With lint off, findings come back as data for the oracles to hold
+   against the simulator. *)
 let compile_both ast =
-  try
-    List.map
-      (fun mode -> (mode, Pipeline.compile ~mode ast))
-      [ Pipeline.Baseline; Pipeline.Specrecon ]
-  with Pipeline.Stage_error (stage, msg) -> violate Stage_failure "%s: %s" stage msg
+  List.map
+    (fun (name, options) ->
+      (name, C.compile_ast ~observe:stage_health { options with C.lint = false } ast))
+    [ ("baseline", C.baseline); ("specrecon", C.speculative) ]
 
 (* ------------------------------------------------------------------ *)
 (* The run matrix                                                      *)
@@ -146,7 +163,8 @@ let cells program (decoded : Ir.Decoded.t) rows =
 let by_policy ~max_issues where =
   List.map
     (fun policy ->
-      ({ base_config with Simt.Config.policy; max_issues }, where (policy_name policy)))
+      ( { base_config with Simt.Config.policy; max_issues },
+        where (Simt.Config.policy_name policy) ))
     policies
 
 type failure = Deadlocked of string | Crashed of string
@@ -187,8 +205,8 @@ let difference want got =
 (* A failed run under the standard contracts: any deadlock is a
    violation, and one srlint did not predict is also a soundness hole in
    the checker. *)
-let standard_failure (s : Pipeline.staged) where = function
-  | Deadlocked msg when s.Pipeline.lint = [] ->
+let standard_failure (s : C.compiled) where = function
+  | Deadlocked msg when s.C.lint_findings = [] ->
     violate Lint_unsound "%s: simulator deadlocked but srlint was clean: %s" where msg
   | Deadlocked msg -> violate Deadlock "%s: %s" where msg
   | Crashed msg -> violate Runtime_error "%s: %s" where msg
@@ -202,11 +220,11 @@ let standard_failure (s : Pipeline.staged) where = function
 let standard_matrix ~max_issues staged =
   let reference = Hashtbl.create 4 and raced = ref false in
   List.iter
-    (fun (mode, (s : Pipeline.staged)) ->
+    (fun (mode, (s : C.compiled)) ->
       List.iter
         (fun cell ->
           let race =
-            Simt.Race_log.create ~size:s.Pipeline.program.T.mem_size
+            Simt.Race_log.create ~size:s.C.program.T.mem_size
               ~n_warps:cell.config.Simt.Config.n_warps ()
           in
           match run ~race cell with
@@ -214,7 +232,7 @@ let standard_matrix ~max_issues staged =
           | Ok r -> (
             if Simt.Race_log.total race > 0 then begin
               raced := true;
-              if s.Pipeline.race = [] then
+              if s.C.race_findings = [] then
                 violate Race_unsound
                   "%s: shadow logger observed %d race(s) but srrace was clean; first: %s"
                   cell.where (Simt.Race_log.total race)
@@ -234,8 +252,7 @@ let standard_matrix ~max_issues staged =
               | Some (Address addr) ->
                 violate Result_divergence "memory differs between %s and %s at address %d"
                   ref_where cell.where addr)))
-        (cells s.Pipeline.program s.Pipeline.decoded
-           (by_policy ~max_issues (Printf.sprintf "%s/%s/%s" (Pipeline.mode_name mode)))))
+        (cells s.C.program s.C.decoded (by_policy ~max_issues (Printf.sprintf "%s/%s/%s" mode))))
     staged;
   (reference, !raced)
 
@@ -243,17 +260,16 @@ let standard_matrix ~max_issues staged =
    scheduler: any remaining srlint finding is a false alarm, and so is an
    srrace finding when no cell realized a race. *)
 let spurious_findings staged ~raced =
-  (match List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.lint <> []) staged with
+  (match List.find_opt (fun (_, (s : C.compiled)) -> s.C.lint_findings <> []) staged with
   | Some (mode, s) ->
-    violate Lint_spurious "%s ran deadlock-free everywhere, yet: %s" (Pipeline.mode_name mode)
-      (show Analysis.Barrier_safety.pp_machine (List.hd s.Pipeline.lint))
+    violate Lint_spurious "%s ran deadlock-free everywhere, yet: %s" mode
+      (show Analysis.Barrier_safety.pp_machine (List.hd s.C.lint_findings))
   | None -> ());
   if not raced then
-    match List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.race <> []) staged with
+    match List.find_opt (fun (_, (s : C.compiled)) -> s.C.race_findings <> []) staged with
     | Some (mode, s) ->
-      violate Race_spurious "no cell of the matrix realized a race, yet %s: %s"
-        (Pipeline.mode_name mode)
-        (show Analysis.Race_safety.pp_machine (List.hd s.Pipeline.race))
+      violate Race_spurious "no cell of the matrix realized a race, yet %s: %s" mode
+        (show Analysis.Race_safety.pp_machine (List.hd s.C.race_findings))
     | None -> ()
 
 (* Serve tier: the same program goes through the srserved engine — a
@@ -266,21 +282,9 @@ let spurious_findings staged ~raced =
    pipeline it wraps: key collisions handing back the wrong artifact,
    artifacts mutated by a previous launch, counter nondeterminism,
    response misordering. *)
-let serve_options =
-  {
-    Core.Compile.mode = Core.Compile.Speculative Passes.Deconflict.Dynamic;
-    coarsen = None;
-    threshold = Core.Compile.Keep;
-    cleanup = true;
-    deconflict = true;
-    lint = true;
-    race = true;
-    repair = Core.Compile.No_repair;
-  }
-
-let serve_matrix ~max_issues ast (specrecon : Pipeline.staged) =
+let serve_matrix ~max_issues ast (specrecon : C.compiled) =
   let pass name =
-    cells specrecon.Pipeline.program specrecon.Pipeline.decoded
+    cells specrecon.C.program specrecon.C.decoded
       [ ({ base_config with Simt.Config.max_issues }, Printf.sprintf "%s pass, kernel %s" name) ]
   in
   match pass "cold" with
@@ -288,7 +292,7 @@ let serve_matrix ~max_issues ast (specrecon : Pipeline.staged) =
   | cold ->
     let source = Front.Pretty.to_string ast in
     let server = Serve.Server.create ~cache_capacity:8 ~max_issues () in
-    let compiled = try Ok (Core.Compile.compile serve_options ~source) with exn -> Error exn in
+    let compiled = try Ok (C.compile C.speculative ~source) with exn -> Error exn in
     (* Mirror of the server's counter discipline: the artifact is keyed
        by source + compile fields only, so the program's first request is
        the one miss and every later request (any kernel, either pass) a
@@ -369,7 +373,7 @@ let serve_matrix ~max_issues ast (specrecon : Pipeline.staged) =
    checker-clean program can never truly stall, so any yield the
    watchdog fires is a false stall detection ({!Spurious_yield}) — the
    runtime-side cross-validation of srlint. *)
-let chaos_matrix ~max_issues ~chaos ~chaos_seed ~reference (specrecon : Pipeline.staged) =
+let chaos_matrix ~max_issues ~chaos ~chaos_seed ~reference (specrecon : C.compiled) =
   for plan = 0 to chaos - 1 do
     let policy = List.nth policies (plan mod List.length policies) in
     let config =
@@ -423,8 +427,12 @@ let chaos_matrix ~max_issues ~chaos ~chaos_seed ~reference (specrecon : Pipeline
              %s)"
             cell.where addr fault_seed
             (minimal_trace (fun r -> difference want (image r) <> None)))
-      (cells specrecon.Pipeline.program specrecon.Pipeline.decoded
-         [ (config, Printf.sprintf "chaos plan %d (%s) kernel %s" plan (policy_name policy)) ])
+      (cells specrecon.C.program specrecon.C.decoded
+         [
+           ( config,
+             Printf.sprintf "chaos plan %d (%s) kernel %s" plan (Simt.Config.policy_name policy)
+           );
+         ])
   done
 
 let guard f = try f () with Stop v -> v
@@ -435,7 +443,7 @@ let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
       let staged = compile_both ast in
       let reference, raced = standard_matrix ~max_issues staged in
       spurious_findings staged ~raced;
-      let specrecon = List.assoc Pipeline.Specrecon staged in
+      let specrecon = List.assoc "specrecon" staged in
       serve_matrix ~max_issues ast specrecon;
       (* Only lint-clean programs reach the chaos tier, so the
          zero-yields contract applies unconditionally. *)
@@ -459,7 +467,7 @@ let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
      schedulers, and memory bit-identical to the unfaulted PDOM
      baseline. Generated programs are schedule-independent by
      construction, so any divergence is introduced by the edits. *)
-let default_mut_seed = 0xf1c5
+let mut_seed = 0xf1c5
 
 let repair_variant ~max_issues ~speculative ~reference ~where pre_findings mutant =
   match Analysis.Barrier_repair.repair ~speculative mutant with
@@ -509,18 +517,16 @@ let repair_variant ~max_issues ~speculative ~reference ~where pre_findings mutan
               cell.where addr plan))
       (cells repaired decoded (by_policy ~max_issues (Printf.sprintf "%s, %s/%s" where)))
 
-let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_mut_seed)
-    ?(id = 0) ast =
+let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(id = 0) ast =
   guard (fun () ->
       let staged = compile_both ast in
-      let baseline = List.assoc Pipeline.Baseline staged
-      and specrecon = List.assoc Pipeline.Specrecon staged in
-      if baseline.Pipeline.lint <> [] || specrecon.Pipeline.lint <> [] then
+      let baseline = List.assoc "baseline" staged and specrecon = List.assoc "specrecon" staged in
+      if baseline.C.lint_findings <> [] || specrecon.C.lint_findings <> [] then
         (* The unmutated program is itself flagged — the standard tier
            owns that contract (lint-spurious); skip it here. *)
         Limit
           (Printf.sprintf "repair tier skipped: unmutated program has %d finding(s)"
-             (List.length specrecon.Pipeline.lint))
+             (List.length specrecon.C.lint_findings))
       else begin
         (* The PDOM reference image per kernel: the standard matrix's
            first cell (the matrix proves baseline schedule-independence),
@@ -531,17 +537,17 @@ let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_
               match run cell with
               | Ok r -> (cell.kernel, image r)
               | Error failure -> standard_failure baseline cell.where failure)
-            (cells baseline.Pipeline.program baseline.Pipeline.decoded
-               [ List.hd
-                   (by_policy ~max_issues
-                      (Printf.sprintf "%s/%s/%s" (Pipeline.mode_name Pipeline.Baseline)))
-               ])
+            (cells baseline.C.program baseline.C.decoded
+               [ List.hd (by_policy ~max_issues (Printf.sprintf "baseline/%s/%s")) ])
         in
         for v = 0 to variants - 1 do
-          match Misplace.mutate (Sm.of_ints mut_seed id v) specrecon.Pipeline.program with
+          match Misplace.mutate (Sm.of_ints mut_seed id v) specrecon.C.program with
           | None -> ()
           | Some (mname, mutant) -> (
-            let speculative = specrecon.Pipeline.speculative in
+            let speculative =
+              C.speculative_meta ~applied:specrecon.C.applied
+                ~interproc:specrecon.C.interproc_applied
+            in
             match Analysis.Barrier_safety.check ~speculative mutant with
             | [] -> () (* benign misplacement; nothing for the repair pass to do *)
             | pre_findings ->

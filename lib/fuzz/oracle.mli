@@ -6,9 +6,11 @@
     + {b Round trip} — [Front.Parser.parse_string (Front.Pretty.to_string
       ast)] must be structurally equal to [ast] ({!Front.Pretty}'s
       documented contract).
-    + {b Stage health} — lowering and every synchronization pass must
-      leave the IR {!Ir.Verifier}-clean, in both compilation modes
-      ({!Pipeline}).
+    + {b Stage health} — both builds compile through
+      {!Core.Compile.compile_ast} itself, with lint findings returned as
+      data; an observer checks that lowering and every synchronization
+      pass leave the IR {!Ir.Verifier}-clean, and names the stage that
+      raised or broke it.
     + {b Mode/schedule independence} — the final memory image and the
       per-thread PRNG-stream consumption must be byte-identical between
       the PDOM-only baseline and the speculative-reconvergence
@@ -126,10 +128,9 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** The interpreter configurations the differential matrix uses: 2 warps
-    of 32 threads ([Gen.n_threads] total) under each scheduler policy. *)
+    of 32 threads ([Gen.n_threads] total) under each scheduler policy,
+    in {!Simt.Config.policies}' order. *)
 val policies : Simt.Config.policy list
-
-val policy_name : Simt.Config.policy -> string
 
 val base_config : Simt.Config.t
 
@@ -156,10 +157,6 @@ val runnable_kernels : Ir.Linear.t -> Ir.Linear.finfo list
     replayed exactly by its [(seed, chaos, chaos_seed)] coordinates. *)
 val check : ?max_issues:int -> ?chaos:int -> ?chaos_seed:int -> Front.Ast.program -> verdict
 
-(** Root seed for the misplacement mutator (0xf1c5); a repair campaign
-    is replayed exactly by its [(seed, variants, mut_seed)] coordinates. *)
-val default_mut_seed : int
-
 (** [check_repair ~id ast] runs the repair tier on one generated
     program: compile both modes; skip (as {!Limit}) if the unmutated
     program is already flagged; run the PDOM reference image of each
@@ -172,6 +169,8 @@ val default_mut_seed : int
     the unfaulted PDOM baseline ({!Repair_unsound} otherwise) — or
     report it unrepairable with the blocking finding named
     ({!Repair_incomplete} when it does neither). [id] distinguishes
-    programs of one campaign in the mutation stream. *)
+    programs of one campaign in the mutation stream, whose root seed is
+    fixed, so a repair campaign is replayed exactly by its
+    [(seed, variants)] coordinates. *)
 val check_repair :
-  ?max_issues:int -> ?variants:int -> ?mut_seed:int -> ?id:int -> Front.Ast.program -> verdict
+  ?max_issues:int -> ?variants:int -> ?id:int -> Front.Ast.program -> verdict

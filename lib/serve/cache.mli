@@ -16,7 +16,7 @@ type 'a t
 
 (** [create ~capacity] — [capacity = 0] disables storage entirely (every
     lookup is a miss and nothing is retained): the cold-cache
-    configuration the service benchmark compares against. *)
+    configuration, [srserved --cache-capacity 0]. *)
 val create : capacity:int -> 'a t
 
 (** 64-bit FNV-1a of a key string, as a non-negative OCaml int. *)

@@ -2,9 +2,8 @@
    (the server may still be binding when we race it up), line-oriented
    round trips, and an rpc helper that retries transient overload.
 
-   Shared by the service benchmark, the socket tests, and the
-   serve-chaos harness — which also wants the raw fd to write torn
-   bytes through, so it is exposed. *)
+   Shared by the socket tests and the serve-chaos harness — which also
+   wants the raw fd to write torn bytes through, so it is exposed. *)
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 

@@ -1,9 +1,9 @@
 (** Minimal srserved socket client with bounded retry/backoff.
 
-    Used by the service benchmark, the socket determinism tests and the
-    serve-chaos harness. Line-oriented: {!round_trip} writes the given
-    request lines plus the blank-line flush marker and reads exactly
-    one response line per request line. *)
+    Used by the socket determinism tests and the serve-chaos harness.
+    Line-oriented: {!round_trip} writes the given request lines plus the
+    blank-line flush marker and reads exactly one response line per
+    request line. *)
 
 type t
 

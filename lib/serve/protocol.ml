@@ -76,8 +76,8 @@ type request = {
   source : string;
 }
 
-let modes = [ "baseline"; "none"; "specrecon"; "specrecon-static"; "auto" ]
-let policies = [ "most-threads"; "lowest-pc"; "round-robin" ]
+let modes = List.map fst Core.Compile.modes
+let policies = List.map fst Simt.Config.policies
 let inits = [ "none"; "data" ]
 
 let make_request ~id ?(mode = "specrecon") ?(policy = "most-threads") ?(warps = 2)
@@ -90,18 +90,20 @@ type command = Run of request | Stats of int | Quit | Shutdown
 
 (* Kernel arguments print tagged so the reader never guesses: ints as
    decimal, floats as C99 hex floats (%h), which are bit-exact and —
-   always carrying a 'p' exponent — can never parse back as an int. *)
+   always carrying a 'p' exponent — can never parse back as an int.
+   Parsing takes exactly those spellings: a float is accepted only when
+   printing it gives back the input. *)
 let print_value = function
   | Ir.Types.I i -> string_of_int i
   | Ir.Types.F f -> Printf.sprintf "%h" f
 
 let parse_value s =
-  match int_of_string_opt s with
+  match parse_int s with
   | Some i -> Ok (Ir.Types.I i)
   | None -> (
     match float_of_string_opt s with
-    | Some f -> Ok (Ir.Types.F f)
-    | None -> Error (Printf.sprintf "bad kernel argument %S (expected int or float)" s))
+    | Some f when String.equal (Printf.sprintf "%h" f) s -> Ok (Ir.Types.F f)
+    | _ -> Error (Printf.sprintf "bad kernel argument %S (expected int or float)" s))
 
 let print_args args = String.concat "," (List.map print_value args)
 

@@ -85,34 +85,13 @@ let drain t = t.draining <- true
 
 (* ---- request -> compile options / launch config ---- *)
 
-let mode_of_string = function
-  | "baseline" -> Core.Compile.Baseline
-  | "none" -> Core.Compile.No_sync
-  | "specrecon" -> Core.Compile.Speculative Passes.Deconflict.Dynamic
-  | "specrecon-static" -> Core.Compile.Speculative Passes.Deconflict.Static
-  | "auto" ->
-    Core.Compile.Automatic
-      {
-        params = Passes.Auto_detect.default_params;
-        strategy = Passes.Deconflict.Dynamic;
-        profile = None;
-      }
-  | other -> invalid_arg ("unknown mode " ^ other) (* unreachable: protocol validates *)
-
-let policy_of_string = function
-  | "lowest-pc" -> Simt.Config.Lowest_pc
-  | "round-robin" -> Simt.Config.Round_robin
-  | _ -> Simt.Config.Most_threads
-
+(* The protocol admits only names from these vocabularies, so the
+   lookups cannot miss. *)
 let options_of_request (r : P.request) =
   {
-    Core.Compile.mode = mode_of_string r.P.mode;
+    Core.Compile.mode = List.assoc r.P.mode Core.Compile.modes;
     coarsen = r.P.coarsen;
-    threshold =
-      (match r.P.threshold with
-      | None -> Core.Compile.Keep
-      | Some k when k < 0 -> Core.Compile.Unset
-      | Some k -> Core.Compile.Set k);
+    threshold = Core.Compile.threshold_of_option r.P.threshold;
     cleanup = true;
     deconflict = true;
     lint = true;
@@ -132,7 +111,7 @@ let config_of_request t (r : P.request) =
     { Simt.Config.default with
       Simt.Config.n_warps = r.P.warps;
       warp_size = r.P.warp_size;
-      policy = policy_of_string r.P.policy;
+      policy = List.assoc r.P.policy Simt.Config.policies;
       seed = r.P.seed;
       max_issues = t.max_issues;
       fuel = fuel_of_request t r }

@@ -1,5 +1,10 @@
 type policy = Most_threads | Lowest_pc | Round_robin
 
+let policies =
+  [ ("most-threads", Most_threads); ("lowest-pc", Lowest_pc); ("round-robin", Round_robin) ]
+
+let policy_name policy = fst (List.find (fun (_, p) -> p = policy) policies)
+
 type yield_policy = Oldest_arrival | Most_waiters | Lowest_slot
 
 type latencies = {

@@ -12,6 +12,13 @@ type policy =
   | Lowest_pc  (** lowest pc first — lets lagging threads catch up *)
   | Round_robin  (** rotate over groups — fairness baseline *)
 
+(** Every policy by the name srrun, the serve protocol and the fuzzer
+    spell it, in the order the protocol's error text lists them:
+    [most-threads|lowest-pc|round-robin]. *)
+val policies : (string * policy) list
+
+val policy_name : policy -> string
+
 (** How yield recovery picks the victim barrier when every live group of
     a warp is blocked on convergence barriers (the forward-progress
     watchdog). All three are deterministic; ties break toward the lowest

@@ -114,6 +114,44 @@ let test_srcc_fix_exit_codes () =
   check_int "--fix on a clean program is a no-op (0)" (Cli.exit_code Cli.Ok_exit)
     (srcc "../examples/kernels/loop_merge.simt --mode specrecon --fix")
 
+(* ---- srcc's lint output: each finding once, on one stream ----
+
+   --lint prints the findings machine-readably on stdout, and stderr
+   carries only the outcome; --no-lint prints the same findings as
+   warnings on stderr. *)
+
+let check_string = Alcotest.(check string)
+
+let srcc_output args =
+  let out = Filename.temp_file "srcc" ".out" and err = Filename.temp_file "srcc" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/srcc.exe %s > %s 2> %s" args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read path =
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  (code, read out, read err)
+
+let test_srcc_lint_output () =
+  let code, out, err = srcc_output (repro ^ " --lint") in
+  check_int "--lint exits with findings (1)" (Cli.exit_code Cli.Findings) code;
+  check_string "--lint: stderr holds only the outcome" "findings reported\n" err;
+  let lines = String.split_on_char '\n' (String.trim out) in
+  let findings = List.filter (String.starts_with ~prefix:"srlint: category=") lines in
+  check_int "--lint: two findings" 2 (List.length findings);
+  check_int "--lint: each finding once" 2 (List.length (List.sort_uniq compare findings));
+  check_bool "--lint: stdout ends with the summary" true
+    (List.nth lines (List.length lines - 1)
+    = "srlint: 2 finding(s) in corpus/srfuzz_42_114_deadlock.simt");
+  let code, _, err = srcc_output (repro ^ " --no-lint") in
+  check_int "--no-lint compiles (0)" (Cli.exit_code Cli.Ok_exit) code;
+  check_string "--no-lint: the findings as warnings on stderr"
+    (String.concat "" (List.map (fun f -> "warning: " ^ f ^ "\n") findings))
+    err
+
 let tests =
   [
     ( "core.cli",
@@ -125,5 +163,6 @@ let tests =
           test_describe_one_line;
         Alcotest.test_case "handle" `Quick test_handle;
         Alcotest.test_case "srcc --fix exit-code contract" `Quick test_srcc_fix_exit_codes;
+        Alcotest.test_case "srcc lint findings on one stream" `Quick test_srcc_lint_output;
       ] );
   ]

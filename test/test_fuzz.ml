@@ -12,7 +12,12 @@
    - both fault plans, pinned to the traces their seeds produce. *)
 
 module Oracle = Fuzz.Oracle
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
+
+(* Compiles as the oracles do: lint findings come back as data. *)
+let compile options ast = C.compile_ast { options with C.lint = false } ast
+
+let undeconflicted = { C.speculative with C.deconflict = false }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -93,14 +98,14 @@ kernel k() {
 }
 |}
 
-let run_policy (staged : Pipeline.staged) policy =
+let run_policy (staged : C.compiled) policy =
   let config = { Oracle.base_config with Simt.Config.policy } in
-  Simt.Interp.run config staged.Pipeline.decoded ~args:[]
-    ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+  Simt.Interp.run config staged.C.decoded ~args:[]
+    ~init_memory:(Oracle.init_memory staged.C.program)
 
 let test_deconflict_rescues_deadlock () =
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile undeconflicted ast in
   let deadlocked =
     List.filter
       (fun policy ->
@@ -111,9 +116,11 @@ let test_deconflict_rescues_deadlock () =
   in
   Alcotest.(check bool) "deadlocks under some policy without deconfliction" true
     (deadlocked <> []);
-  let deconflicted = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let deconflicted = compile C.speculative ast in
   Alcotest.(check bool) "deconfliction resolved the conflict" true
-    (deconflicted.Pipeline.resolutions >= 1);
+    (match deconflicted.C.deconflict_report with
+    | Some r -> r.Passes.Deconflict.resolutions <> []
+    | None -> false);
   List.iter
     (fun policy ->
       match run_policy deconflicted policy with
@@ -177,15 +184,15 @@ let test_non_ok_verdicts () =
 
 let digest (r : Simt.Interp.result) = Simt.Memsys.digest r.Simt.Interp.memory
 
-let run_yield (staged : Pipeline.staged) policy yield_policy =
+let run_yield (staged : C.compiled) policy yield_policy =
   let config =
     { Oracle.base_config with
       Simt.Config.policy;
       yield_on_stall = true;
       yield_policy }
   in
-  Simt.Interp.run config staged.Pipeline.decoded ~args:[]
-    ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+  Simt.Interp.run config staged.C.decoded ~args:[]
+    ~init_memory:(Oracle.init_memory staged.C.program)
 
 let test_yield_recovers_conflict () =
   (* The same checker-rejected conflicting placement that deadlocks in
@@ -194,9 +201,9 @@ let test_yield_recovers_conflict () =
      bit-identical to the PDOM baseline — graceful degradation instead
      of a stuck machine. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
-  Alcotest.(check bool) "the placement is checker-rejected" true (raw.Pipeline.lint <> []);
-  let baseline = Pipeline.compile ~mode:Pipeline.Baseline ast in
+  let raw = compile undeconflicted ast in
+  Alcotest.(check bool) "the placement is checker-rejected" true (raw.C.lint_findings <> []);
+  let baseline = compile C.baseline ast in
   let want = digest (run_policy baseline Simt.Config.Most_threads) in
   let yielded = ref 0 in
   List.iter
@@ -221,7 +228,7 @@ let test_yield_log_deterministic () =
      same yield log (cycle, warp, slot, released lanes), for each victim
      policy. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile undeconflicted ast in
   List.iter
     (fun yield_policy ->
       let a = run_yield raw Simt.Config.Most_threads yield_policy in
@@ -236,7 +243,7 @@ let test_deadlock_report_names_cycle () =
   (* Satellite of the yield unit: the no-yield diagnostic must name the
      waits-for cycle so the report is actionable. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile undeconflicted ast in
   let saw_deadlock =
     List.exists
       (fun policy ->
@@ -283,12 +290,12 @@ fault stall step=340 warp=1 cycles=14
 
 let test_fault_trace_roundtrip_and_replay () =
   let ast = Front.Parser.parse_string divergent_source in
-  let staged = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let staged = compile C.speculative ast in
   let config = { Oracle.base_config with Simt.Config.yield_on_stall = true } in
   let faults = Simt.Faults.create ~seed:1905 in
   let a =
-    Simt.Interp.run ~faults config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~faults config staged.C.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.C.program)
   in
   let events = Simt.Faults.events faults in
   Alcotest.(check string) "seed 1905 draws the same plan" simt_plan_1905
@@ -298,8 +305,8 @@ let test_fault_trace_roundtrip_and_replay () =
   (* Replaying the recorded trace reproduces the faulted run exactly. *)
   let replayed = Simt.Faults.replay events in
   let b =
-    Simt.Interp.run ~faults:replayed config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~faults:replayed config staged.C.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.C.program)
   in
   Alcotest.(check bool) "replay applies the same faults" true
     (Simt.Faults.events replayed = events);
@@ -308,8 +315,8 @@ let test_fault_trace_roundtrip_and_replay () =
   Alcotest.(check bool) "replay reproduces the memory image" true (digest a = digest b);
   (* And faults must not change what the program computes. *)
   let clean =
-    Simt.Interp.run Oracle.base_config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run Oracle.base_config staged.C.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.C.program)
   in
   Alcotest.(check bool) "faulted memory matches the unfaulted run" true (digest a = digest clean)
 
@@ -407,14 +414,14 @@ let test_multi_kernel_program () =
   (* Multi-kernel translation units (a ROADMAP item): both kernels are
      lowered side by side; the entry selector picks which one runs. *)
   let ast = Front.Parser.parse_string multi_kernel_source in
-  let staged = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let staged = compile C.speculative ast in
   let kernels =
-    List.map (fun (f : Ir.Linear.finfo) -> f.Ir.Linear.fname) staged.Pipeline.linear.Ir.Linear.kernels
+    List.map (fun (f : Ir.Linear.finfo) -> f.Ir.Linear.fname) staged.C.linear.Ir.Linear.kernels
   in
   Alcotest.(check (list string)) "both kernels listed in order" [ "k"; "k2" ] kernels;
   let run entry args =
-    Simt.Interp.run ~entry Oracle.base_config staged.Pipeline.decoded ~args
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~entry Oracle.base_config staged.C.decoded ~args
+      ~init_memory:(Oracle.init_memory staged.C.program)
   in
   let a = run "k" [] in
   let b = run "k2" [ Ir.Types.I 7 ] in

@@ -22,8 +22,8 @@ let modes =
     ("auto-nodeconflict", { C.automatic with C.deconflict = false });
   ]
 
-(* The fingerprint of one compile. Lint warnings also go to stderr;
-   Alcotest keeps them in the test's log. *)
+(* The fingerprint of one compile. With lint off the findings come back
+   as data; nothing is printed. *)
 let fingerprint options ~source =
   match C.compile { options with C.lint = false } ~source with
   | c ->
@@ -76,6 +76,59 @@ let cold_path_sources () =
 let pinned name sources expected () =
   Alcotest.check Alcotest.string (name ^ " digest") expected (digest_set (sources ()))
 
+(* The stage sequence as an observer sees it: each stage by name as it
+   starts (a nested one as parent/child), and +name whenever [after]
+   sees the program a stage rewrote. *)
+let stage_sequence options ~source =
+  let events = ref [] and open_stages = ref [] in
+  let observe =
+    {
+      C.stage =
+        (fun name f ->
+          events := String.concat "/" (List.rev (name :: !open_stages)) :: !events;
+          open_stages := name :: !open_stages;
+          Fun.protect f ~finally:(fun () -> open_stages := List.tl !open_stages));
+      after = (fun name _ -> events := ("+" ^ name) :: !events);
+    }
+  in
+  ignore (C.compile ~observe options ~source);
+  String.concat " " (List.rev !events)
+
+(* Speculative findings a PDOM placement also has: the race stage
+   rebuilds that placement to diff against. *)
+let racy_source =
+  "global outi: int[64];\nglobal share: int[128];\n\
+   kernel k() {\n  share[tid()] = tid();\n  outi[tid()] = share[((tid() + 1) % 64)];\n}\n"
+
+let test_stage_sequence () =
+  let repro = In_channel.with_open_bin "corpus/srfuzz_42_114_deadlock.simt" In_channel.input_all in
+  let check name options ~source want =
+    Alcotest.check Alcotest.string name want (stage_sequence options ~source)
+  in
+  let front = "parse lower +lower detect +detect" in
+  let speculative = front ^ " specrecon +specrecon interproc +interproc pdom_sync +pdom_sync" in
+  let back = "verify lint race linearize decode" in
+  check "baseline" C.baseline ~source:repro
+    (String.concat " " [ front; "pdom_sync +pdom_sync cleanup +cleanup"; back ]);
+  let deconflicted = String.concat " " [ speculative; "deconflict +deconflict cleanup +cleanup"; back ] in
+  check "specrecon" C.speculative ~source:repro deconflicted;
+  check "auto" C.automatic ~source:repro deconflicted;
+  check "specrecon without deconfliction"
+    { C.speculative with C.deconflict = false; lint = false }
+    ~source:repro
+    (String.concat " " [ speculative; "cleanup +cleanup"; back ]);
+  check "accepted --fix"
+    { C.speculative with
+      C.deconflict = false;
+      repair = C.Repair { dry_run = false; max_edits = Analysis.Barrier_repair.default_max_edits } }
+    ~source:repro
+    (String.concat " "
+       [ speculative; "cleanup +cleanup verify lint lint/repair +repair race linearize decode" ]);
+  check "coarsened racy specrecon" { C.speculative with C.coarsen = Some 2 } ~source:racy_source
+    "parse coarsen lower +lower detect +detect specrecon +specrecon interproc +interproc \
+     pdom_sync +pdom_sync deconflict +deconflict cleanup +cleanup verify lint race \
+     race/race.rebuild linearize decode"
+
 let tests =
   [
     ( "identity.compile",
@@ -88,5 +141,6 @@ let tests =
           (pinned "fuzz" fuzz_sources "8be4e3e8dd819ca1a599ff6b5093bd29");
         Alcotest.test_case "cold_path 10-320 x 6 modes" `Slow
           (pinned "cold_path" cold_path_sources "87e085f048a3a5ea570d993bc963b2af");
+        Alcotest.test_case "stage sequence pinned" `Quick test_stage_sequence;
       ] );
   ]

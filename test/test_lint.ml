@@ -16,7 +16,7 @@
 module T = Ir.Types
 module B = Ir.Builder
 module BS = Analysis.Barrier_safety
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
 
 let render = BS.render
 
@@ -217,21 +217,34 @@ let is_deadlock_category c = c = BS.Bypassable_wait || c = BS.Unseparated_overla
 
 let test_ablation_flags_interproc_deadlock () =
   let ast = Front.Parser.parse_string conflicting_source in
-  let ablated =
-    Pipeline.compile ~deconflict_call_waits:false ~mode:Pipeline.Specrecon ast
+  (* The ablated program, from the public passes: compile up to
+     deconfliction, then run the pass blind to call-as-wait and clean up
+     as the compiler would. *)
+  let placed =
+    C.compile_ast
+      { C.speculative with C.deconflict = false; cleanup = false; lint = false; race = false }
+      ast
   in
+  let program = placed.C.program in
+  let applied = placed.C.applied and interproc = placed.C.interproc_applied in
+  let priority = C.make_priority ~applied ~interproc ~pdom:placed.C.pdom_barriers in
+  ignore
+    (Passes.Deconflict.run ~model_call_waits:false program ~strategy:Passes.Deconflict.Dynamic
+       ~priority);
+  ignore (Passes.Cleanup.run program);
+  let decoded = Ir.Decoded.decode (Ir.Linear.linearize program) in
   Alcotest.(check bool)
     "srlint statically flags the shape under the ablation" true
     (List.exists (fun (f : BS.finding) -> is_deadlock_category f.BS.category)
-       ablated.Pipeline.lint);
+       (BS.check ~speculative:(C.speculative_meta ~applied ~interproc) program));
   (* The static flag is truthful: the ablated binary really deadlocks. *)
   let deadlocked =
     List.exists
       (fun policy ->
         let config = { Fuzz.Oracle.base_config with Simt.Config.policy } in
         match
-          Simt.Interp.run config ablated.Pipeline.decoded ~args:[]
-            ~init_memory:(Fuzz.Oracle.init_memory ablated.Pipeline.program)
+          Simt.Interp.run config decoded ~args:[]
+            ~init_memory:(Fuzz.Oracle.init_memory program)
         with
         | _ -> false
         | exception Simt.Interp.Deadlock _ -> true)
@@ -240,8 +253,8 @@ let test_ablation_flags_interproc_deadlock () =
   Alcotest.(check bool) "ablated compilation deadlocks in the simulator" true deadlocked;
   (* With call-as-wait modeling restored, both the pass and the checker
      agree the program is safe. *)
-  let fixed = Pipeline.compile ~mode:Pipeline.Specrecon ast in
-  Alcotest.(check int) "no findings with modeling on" 0 (List.length fixed.Pipeline.lint)
+  let fixed = C.compile_ast { C.speculative with C.lint = false } ast in
+  Alcotest.(check int) "no findings with modeling on" 0 (List.length fixed.C.lint_findings)
 
 (* ---- clean sweep over examples and corpus ---- *)
 
@@ -267,17 +280,11 @@ let test_clean_sweep () =
     (fun path ->
       let ast = Front.Parser.parse_string (read_file path) in
       List.iter
-        (fun mode ->
-          let staged = Pipeline.compile ~mode ast in
-          match staged.Pipeline.lint with
+        (fun (mode, options) ->
+          match (C.compile_ast { options with C.lint = false } ast).C.lint_findings with
           | [] -> ()
-          | fs -> Alcotest.failf "%s (%s): %s" path (Pipeline.mode_name mode) (render fs))
-        [ Pipeline.Baseline; Pipeline.Specrecon ];
-      (* The Core.Compile presets run srlint as a mandatory hard-error
-         stage, so compiling at all asserts zero findings. *)
-      List.iter
-        (fun options -> ignore (Core.Compile.compile_ast options ast))
-        [ Core.Compile.baseline; Core.Compile.speculative; Core.Compile.automatic ])
+          | fs -> Alcotest.failf "%s (%s): %s" path mode (render fs))
+        [ ("baseline", C.baseline); ("specrecon", C.speculative); ("auto", C.automatic) ])
     files
 
 (* ---- generator reach: threshold-gated hints ---- *)

@@ -22,17 +22,18 @@
 module T = Ir.Types
 module B = Ir.Builder
 module RS = Analysis.Race_safety
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
 
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let compile mode source = Pipeline.compile ~mode (Front.Parser.parse_string source)
+let compile options source =
+  C.compile_ast { options with C.lint = false } (Front.Parser.parse_string source)
 
-let race mode source = (compile mode source).Pipeline.race
+let race options source = (compile options source).C.race_findings
 
-let both_modes = [ Pipeline.Baseline; Pipeline.Specrecon ]
+let both_modes = [ ("baseline", C.baseline); ("specrecon", C.speculative) ]
 
 let header = "global outi: int[64];\nglobal share: int[128];\n"
 
@@ -60,12 +61,12 @@ let unseparated_source =
 
 let test_phase_partitioning () =
   List.iter
-    (fun mode ->
+    (fun (name, mode) ->
       check_string
-        (Printf.sprintf "wait-separated accesses are clean (%s)" (Pipeline.mode_name mode))
+        (Printf.sprintf "wait-separated accesses are clean (%s)" name)
         "" (RS.render (race mode separated_source));
       check_bool
-        (Printf.sprintf "same accesses in one interval race (%s)" (Pipeline.mode_name mode))
+        (Printf.sprintf "same accesses in one interval race (%s)" name)
         true
         (List.exists
            (fun (f : RS.finding) -> f.RS.category = RS.Read_write && f.RS.global = "share")
@@ -85,7 +86,7 @@ let test_affine_disjointness () =
        }\n"
   in
   check_string "stride-2 even/odd stores are proven disjoint" ""
-    (RS.render (race Pipeline.Baseline disjoint));
+    (RS.render (race C.baseline disjoint));
   (* Strides 2 and 4 with offset 2: gcd(2,4)=2 divides 2, and indeed
      thread 1's even store lands on thread 0's cell 2. *)
   let colliding =
@@ -98,15 +99,15 @@ let test_affine_disjointness () =
   check_bool "gcd residue test catches the stride collision" true
     (List.exists
        (fun (f : RS.finding) -> f.RS.category = RS.Write_write)
-       (race Pipeline.Baseline colliding));
+       (race C.baseline colliding));
   (* Injective per-thread stores never self-conflict. *)
   check_string "tid-injective store is clean" ""
-    (RS.render (race Pipeline.Baseline (header ^ "kernel k() {\n  share[tid()] = tid();\n}\n")));
+    (RS.render (race C.baseline (header ^ "kernel k() {\n  share[tid()] = tid();\n}\n")));
   (* A uniform store is the canonical intra-interval WW. *)
   check_bool "uniform single-cell store is write-write" true
     (List.exists
        (fun (f : RS.finding) -> f.RS.category = RS.Write_write && f.RS.global = "share")
-       (race Pipeline.Baseline (header ^ "kernel k() {\n  share[0] = 1;\n}\n")))
+       (race C.baseline (header ^ "kernel k() {\n  share[0] = 1;\n}\n")))
 
 (* ---- interprocedural call-as-wait ---- *)
 
@@ -140,11 +141,11 @@ let callee_no_wait_source =
 
 let test_interprocedural_call_as_wait () =
   check_string "a callee that always waits separates the caller's phases" ""
-    (RS.render (race Pipeline.Baseline callee_waits_source));
+    (RS.render (race C.baseline callee_waits_source));
   check_bool "a waitless callee separates nothing" true
     (List.exists
        (fun (f : RS.finding) -> f.RS.category = RS.Read_write && f.RS.global = "share")
-       (race Pipeline.Baseline callee_no_wait_source))
+       (race C.baseline callee_no_wait_source))
 
 (* ---- PDOM-vs-speculative differential ---- *)
 
@@ -195,13 +196,13 @@ let test_machine_diagnostics () =
      other_line=4 msg=threads of the same barrier interval may write the same cell \
      share[0] from this one store fix=separate the writes with a full wait.barrier, or \
      make the store index injective in tid hint=insert-wait"
-    (RS.render (race Pipeline.Baseline (header ^ "kernel k() {\n  share[0] = 1;\n}\n")));
+    (RS.render (race C.baseline (header ^ "kernel k() {\n  share[0] = 1;\n}\n")));
   check_string "RW pair renders both sites"
     "srrace: category=read-write func=k block=bb0 line=4 global=share other_func=k \
      other_line=4 msg=write of share[tid] here may race with read of share[[0..63]] at \
      k/bb0#10 (line 4): no full barrier separates them fix=separate the read from the \
      write with a full wait.barrier hint=insert-wait"
-    (RS.render (race Pipeline.Baseline unseparated_source))
+    (RS.render (race C.baseline unseparated_source))
 
 (* ---- the shadow-memory logger (dynamic half) ---- *)
 
@@ -209,30 +210,30 @@ let run_logged ?(policy = Simt.Config.Round_robin) mode source =
   let staged = compile mode source in
   let config = { Fuzz.Oracle.base_config with Simt.Config.policy } in
   let log =
-    Simt.Race_log.create ~size:staged.Pipeline.program.T.mem_size
+    Simt.Race_log.create ~size:staged.C.program.T.mem_size
       ~n_warps:config.Simt.Config.n_warps ()
   in
   let result =
-    Simt.Interp.run ~race:log config staged.Pipeline.decoded ~entry:"k" ~args:[]
-      ~init_memory:(Fuzz.Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~race:log config staged.C.decoded ~entry:"k" ~args:[]
+      ~init_memory:(Fuzz.Oracle.init_memory staged.C.program)
   in
   (log, result)
 
 let test_logger_agrees_with_static () =
   List.iter
-    (fun mode ->
+    (fun (name, mode) ->
       let clean, _ = run_logged mode separated_source in
       check_int
-        (Printf.sprintf "wait-separated program logs no race (%s)" (Pipeline.mode_name mode))
+        (Printf.sprintf "wait-separated program logs no race (%s)" name)
         0
         (Simt.Race_log.total clean);
       let racy, _ = run_logged mode unseparated_source in
       check_bool
-        (Printf.sprintf "one-interval collision is observed (%s)" (Pipeline.mode_name mode))
+        (Printf.sprintf "one-interval collision is observed (%s)" name)
         true
         (Simt.Race_log.total racy > 0))
     both_modes;
-  let interp, _ = run_logged Pipeline.Baseline callee_waits_source in
+  let interp, _ = run_logged C.baseline callee_waits_source in
   check_int "callee wait separates dynamically too" 0 (Simt.Race_log.total interp)
 
 let test_logger_deterministic () =
@@ -240,8 +241,8 @@ let test_logger_deterministic () =
      deterministic machine, like the yield log. *)
   List.iter
     (fun policy ->
-      let a, ra = run_logged ~policy Pipeline.Specrecon unseparated_source in
-      let b, rb = run_logged ~policy Pipeline.Specrecon unseparated_source in
+      let a, ra = run_logged ~policy C.speculative unseparated_source in
+      let b, rb = run_logged ~policy C.speculative unseparated_source in
       check_bool "identical race events across reruns" true
         (Simt.Race_log.events a = Simt.Race_log.events b);
       check_int "identical totals across reruns" (Simt.Race_log.total a)
@@ -256,19 +257,19 @@ let test_logger_zero_overhead_shape () =
      memory are bit-identical to an unlogged run. *)
   List.iter
     (fun source ->
-      let staged = compile Pipeline.Specrecon source in
+      let staged = compile C.speculative source in
       let config = Fuzz.Oracle.base_config in
       let log =
-        Simt.Race_log.create ~size:staged.Pipeline.program.T.mem_size
+        Simt.Race_log.create ~size:staged.C.program.T.mem_size
           ~n_warps:config.Simt.Config.n_warps ()
       in
-      let init = Fuzz.Oracle.init_memory staged.Pipeline.program in
+      let init = Fuzz.Oracle.init_memory staged.C.program in
       let logged =
-        Simt.Interp.run ~race:log config staged.Pipeline.decoded ~entry:"k" ~args:[]
+        Simt.Interp.run ~race:log config staged.C.decoded ~entry:"k" ~args:[]
           ~init_memory:init
       in
       let plain =
-        Simt.Interp.run config staged.Pipeline.decoded ~entry:"k" ~args:[] ~init_memory:init
+        Simt.Interp.run config staged.C.decoded ~entry:"k" ~args:[] ~init_memory:init
       in
       check_bool "metrics identical with and without the logger" true
         (logged.Simt.Interp.metrics = plain.Simt.Interp.metrics);

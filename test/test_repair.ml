@@ -20,7 +20,7 @@ module T = Ir.Types
 module B = Ir.Builder
 module BS = Analysis.Barrier_safety
 module BR = Analysis.Barrier_repair
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
 module Oracle = Fuzz.Oracle
 
 let check_int = Alcotest.(check int)
@@ -274,12 +274,16 @@ let test_corpus_repairs () =
       (* The conflicting placement: speculative compilation with
          deconfliction off — what the repros were minimized to deadlock
          under. *)
-      let broken = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
-      if broken.Pipeline.lint = [] then
+      let broken =
+        C.compile_ast { C.speculative with C.deconflict = false; lint = false } ast
+      in
+      if broken.C.lint_findings = [] then
         Alcotest.failf "%s: expected findings with deconfliction off" path;
-      let speculative = broken.Pipeline.speculative in
+      let speculative =
+        C.speculative_meta ~applied:broken.C.applied ~interproc:broken.C.interproc_applied
+      in
       let fixed =
-        match BR.repair ~speculative broken.Pipeline.program with
+        match BR.repair ~speculative broken.C.program with
         | BR.Repaired { program; _ } -> program
         | BR.Clean -> Alcotest.failf "%s: repair claims clean on a flagged program" path
         | BR.Unrepairable { blocking; _ } ->
@@ -288,16 +292,16 @@ let test_corpus_repairs () =
       in
       assert_clean path ~speculative fixed;
       (* PDOM reference image per kernel. *)
-      let baseline = Pipeline.compile ~mode:Pipeline.Baseline ast in
+      let baseline = C.compile_ast { C.baseline with C.lint = false } ast in
       let linear = Ir.Linear.linearize fixed in
       let decoded = Ir.Decoded.decode linear in
       List.iter
         (fun (kf : Ir.Linear.finfo) ->
           let kname = kf.Ir.Linear.fname in
           let reference =
-            Simt.Interp.run Oracle.base_config baseline.Pipeline.decoded ~entry:kname
+            Simt.Interp.run Oracle.base_config baseline.C.decoded ~entry:kname
               ~args:[]
-              ~init_memory:(Oracle.init_memory baseline.Pipeline.program)
+              ~init_memory:(Oracle.init_memory baseline.C.program)
           in
           List.iter
             (fun policy ->
@@ -316,7 +320,7 @@ let test_corpus_repairs () =
                   ~init_memory:(Oracle.init_memory fixed)
               in
               let where =
-                Printf.sprintf "%s/%s/%s" path (Oracle.policy_name policy) kname
+                Printf.sprintf "%s/%s/%s" path (Simt.Config.policy_name policy) kname
               in
               check_int
                 (where ^ ": zero yields on the repaired program")

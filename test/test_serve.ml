@@ -50,7 +50,9 @@ let test_command_round_trips () =
     (P.Run
        (P.make_request ~id:7 ~mode:"baseline" ~policy:"round-robin" ~warps:4 ~warp_size:16
           ~seed:99 ~coarsen:8 ~threshold:(-1) ~entry:"k"
-          ~args:[ Ir.Types.I 42; Ir.Types.F 0.5; Ir.Types.F (-1.25) ]
+          ~args:
+            [ Ir.Types.I 42; Ir.Types.F 0.5; Ir.Types.F (-1.25); Ir.Types.F (-0.);
+              Ir.Types.F infinity ]
           ~init:"data" ~source:sample_source ()));
   round_trip_command (P.Run (P.make_request ~id:8 ~deadline:5000 ~source:sample_source ()));
   round_trip_command (P.Stats 12);
@@ -131,6 +133,10 @@ let test_malformed_commands () =
       "run id=1 warps=+2 source=x";
       "run id=1 threshold=- source=x";
       "run id=1 source=%1_";         (* non-hex escape *)
+      "run id=1 args=0x10 source=x"; (* arguments the printer never spells *)
+      "run id=1 args=1_0 source=x";
+      "run id=1 args=+2 source=x";
+      "run id=1 args=1.5e0 source=x";
       "ok rid=1";                    (* response head on the request side *)
     ]
 
