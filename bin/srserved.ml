@@ -22,50 +22,7 @@
    bounds every launch (requests may override with deadline=), answered
    with a `deadline` response rather than an error. *)
 
-module P = Serve.Protocol
-
 let usage msg = raise (Core.Cli.Error (Core.Cli.Usage msg))
-
-(* ---- stdio / trace service loop ---- *)
-
-let is_run_line line =
-  let line = String.trim line in
-  String.length line >= 4 && String.sub line 0 4 = "run "
-
-let serve_channel server ~max_batch ic =
-  let quit = ref false in
-  let pending = ref [] in
-  let respond lines =
-    List.iter print_endline (Serve.Server.submit_lines server lines);
-    flush stdout
-  in
-  let flush_pending () =
-    if !pending <> [] then begin
-      respond (List.rev !pending);
-      pending := []
-    end
-  in
-  (try
-     while not !quit do
-       let line = input_line ic in
-       if String.trim line = "" then flush_pending ()
-       else if is_run_line line then begin
-         pending := line :: !pending;
-         if List.length !pending >= max_batch then flush_pending ()
-       end
-       else begin
-         (* stats / quit / shutdown / malformed: sequential markers —
-            they observe every launch before them, so the batch goes
-            first. shutdown sets the server draining, which over stdio
-            means the stream is done. *)
-         flush_pending ();
-         respond [ line ];
-         if P.parse_command line = Ok P.Quit || Serve.Server.draining server then quit := true
-       end
-     done
-   with End_of_file -> flush_pending ())
-
-(* ---- CLI ---- *)
 
 let main trace socket persist cache_capacity max_batch max_inflight max_issues
     deadline retry_after read_timeout max_line race_gate =
@@ -90,12 +47,12 @@ let main trace socket persist cache_capacity max_batch max_inflight max_issues
     Serve.Transport.serve ~max_batch ~read_timeout ~max_line server ~socket_path ()
   | None -> (
     match trace with
-    | None -> serve_channel server ~max_batch stdin
+    | None -> Serve.Transport.serve_channel ~max_batch server stdin stdout
     | Some path ->
       let ic = open_in path in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> serve_channel server ~max_batch ic))
+        (fun () -> Serve.Transport.serve_channel ~max_batch server ic stdout))
 
 open Cmdliner
 

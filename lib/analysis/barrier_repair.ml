@@ -7,10 +7,7 @@
    heuristic patch but a placement the checker *proves* deadlock-free,
    so everything downstream (the differential oracles, the digest
    contract) holds of it by the same argument as for an unedited clean
-   program.
-
-   This module lives in lib/analysis (below lib/passes), so it carries
-   its own small block-editing helpers instead of using Passes.Edit. *)
+   program. *)
 
 module T = Ir.Types
 module BS = Barrier_safety
@@ -92,71 +89,26 @@ type outcome =
   | Repaired of { program : T.program; edits : edit list; cost : float; explored : int }
   | Unrepairable of { blocking : BS.finding; explored : int }
 
-(* ------------------------------------------------------------------ *)
-(* Local block editing (the analysis layer cannot see Passes.Edit)     *)
-(* ------------------------------------------------------------------ *)
-
-let insert_at (f : T.func) bid idx inst =
-  let b = T.block f bid in
-  let n = List.length b.insts in
-  if idx < 0 || idx > n then invalid_arg "Barrier_repair.insert_at";
-  b.insts <-
-    List.filteri (fun i _ -> i < idx) b.insts
-    @ (inst :: List.filteri (fun i _ -> i >= idx) b.insts)
-
-let remove_at (f : T.func) bid idx =
-  let b = T.block f bid in
-  if idx < 0 || idx >= List.length b.insts then invalid_arg "Barrier_repair.remove_at";
-  let removed = List.nth b.insts idx in
-  b.insts <- List.filteri (fun i _ -> i <> idx) b.insts;
-  removed
-
-let rewrite_slot_at (f : T.func) bid idx slot =
-  let b = T.block f bid in
-  b.insts <-
-    List.mapi
-      (fun i inst ->
-        if i <> idx then inst
-        else
-          match inst with
-          | T.Join _ -> T.Join slot
-          | T.Rejoin _ -> T.Rejoin slot
-          | T.Wait _ -> T.Wait slot
-          | T.Wait_threshold (_, k) -> T.Wait_threshold (slot, k)
-          | T.Cancel _ -> T.Cancel slot
-          | T.Arrived (d, _) -> T.Arrived (d, slot)
-          | _ -> invalid_arg "Barrier_repair.rewrite_slot_at: not a barrier primitive")
-      b.insts
-
 (* Mutates [p] (callers pass a private copy). *)
 let apply (p : T.program) edit =
   let func name = Hashtbl.find p.T.funcs name in
   match edit with
   | Insert_cancel { in_func; block; index; cancel } ->
-    insert_at (func in_func) block index (T.Cancel cancel)
+    Ir.Edit.insert_at (func in_func) block index (T.Cancel cancel)
   | Move_wait { in_func; from_block; from_index; to_block; _ } ->
-    let f = func in_func in
-    let inst = remove_at f from_block from_index in
-    let b = T.block f to_block in
-    let rec arrive_prefix i = function
-      | (T.Join _ | T.Rejoin _) :: rest -> arrive_prefix (i + 1) rest
-      | _ -> i
-    in
-    insert_at f to_block (arrive_prefix 0 b.insts) inst
+    Ir.Edit.move_inst (func in_func) ~from_block ~from_index ~to_block
   | Split_slot { in_func; fresh; sites; _ } ->
     let f = func in_func in
-    List.iter (fun (b, i) -> rewrite_slot_at f b i fresh) sites;
+    List.iter (fun (b, i) -> Ir.Edit.rewrite_slot_at f b i fresh) sites;
     p.next_barrier <- max p.next_barrier (fresh + 1)
   | Remap_slot { in_func; block; index; to_slot } ->
-    rewrite_slot_at (func in_func) block index to_slot
-  | Drop_barrier { in_func; block; index; _ } -> ignore (remove_at (func in_func) block index)
+    Ir.Edit.rewrite_slot_at (func in_func) block index to_slot
+  | Drop_barrier { in_func; block; index; _ } ->
+    ignore (Ir.Edit.remove_at (func in_func) block index)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate enumeration                                               *)
 (* ------------------------------------------------------------------ *)
-
-let sorted_funcs (p : T.program) =
-  Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs [] |> List.sort compare
 
 (* Slots waited in a callee's entry block: a call to it is the wait
    event in the caller (§4.4), so it is a cancel-insertion point too. *)
@@ -187,7 +139,7 @@ let wait_sites (p : T.program) slot =
                    Some (n, bid, i)
                  | _ -> None))
         (T.block_ids f))
-    (sorted_funcs p)
+    (T.func_names p)
 
 (* Barrier-primitive sites on [slot] inside one function, ordered by
    (block, index) — the split-point enumeration order. *)
@@ -219,7 +171,7 @@ let arrive_slots (p : T.program) =
               match i with T.Join x | T.Rejoin x -> acc := Int_set.add x !acc | _ -> ())
             b.insts);
       !acc)
-    Int_set.empty (sorted_funcs p)
+    Int_set.empty (T.func_names p)
 
 let weights = Costmodel.default_weights
 

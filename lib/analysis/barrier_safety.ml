@@ -235,15 +235,12 @@ let branch_pruner (f : T.func) =
 (* Summary fixpoint                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_funcs (p : T.program) =
-  Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs [] |> List.sort compare
-
 (* Iterates [escapes]/[may_block] (and the per-function held analyses
    that depend on them) to a fixpoint. Returns the final summaries plus
    the held-analysis result for every function, computed against the
    stable summaries. *)
 let compute_summaries (p : T.program) =
-  let names = sorted_funcs p in
+  let names = T.func_names p in
   let cg = Callgraph.build p in
   let ew_tbl = Hashtbl.create 8 in
   List.iter
@@ -384,7 +381,7 @@ let check ?(speculative = []) (p : T.program) =
     findings := { category; slot; site; message; fix; related } :: !findings
   in
   let sums, held_of = compute_summaries p in
-  let names = sorted_funcs p in
+  let names = T.func_names p in
   (* Directed waits-for edges: (holder, waited) -> first witnessing site. *)
   let edges : (int * int, site) Hashtbl.t = Hashtbl.create 32 in
   let add_edge src dst site =

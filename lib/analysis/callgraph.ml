@@ -6,7 +6,7 @@ type t = {
 }
 
 let build (p : Ir.Types.program) =
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = Ir.Types.func_names p in
   let callee_tbl = Hashtbl.create 8 in
   let caller_tbl = Hashtbl.create 8 in
   let sites = Hashtbl.create 8 in

@@ -38,13 +38,7 @@ let region_blocks (compiled : Compile.compiled) =
   table
 
 let measure ?(config = Simt.Config.default) options (spec : Workloads.Spec.t) =
-  let config = spec.tweak_config config in
-  let options =
-    match options.Compile.coarsen with
-    | Some _ -> options
-    | None -> { options with Compile.coarsen = spec.coarsen }
-  in
-  let compiled = Compile.compile options ~source:spec.source in
+  let config, compiled = Runner.compile_spec config options spec in
   let regions = region_blocks compiled in
   let region_issues = ref 0 and region_active = ref 0 in
   let other_issues = ref 0 and other_active = ref 0 in

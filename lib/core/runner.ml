@@ -26,19 +26,21 @@ let launch ?(config = Simt.Config.default) ?(init = fun _ _ -> ()) ?faults ?race
     check = Ok ();
   }
 
-let run_spec ?(config = Simt.Config.default) ?faults options (spec : Workloads.Spec.t) =
-  let config = spec.tweak_config config in
+let compile_spec config options (spec : Workloads.Spec.t) =
   let options =
     match options.Compile.coarsen with
     | Some _ -> options
     | None -> { options with Compile.coarsen = spec.coarsen }
   in
-  let compiled = Compile.compile options ~source:spec.source in
-  let outcome = launch ~config ?faults ~init:spec.init compiled ~args:spec.args in
+  (spec.tweak_config config, Compile.compile options ~source:spec.source)
+
+let run_spec ?(config = Simt.Config.default) options (spec : Workloads.Spec.t) =
+  let config, compiled = compile_spec config options spec in
+  let outcome = launch ~config ~init:spec.init compiled ~args:spec.args in
   { outcome with check = spec.check compiled.Compile.program outcome.memory }
 
-let run_source ?config ?init ?faults ?entry options ~source ~args =
-  launch ?config ?init ?faults ?entry (Compile.compile options ~source) ~args
+let run_source ?config ?init options ~source ~args =
+  launch ?config ?init (Compile.compile options ~source) ~args
 
 let speedup ~baseline ~optimized =
   let b = float_of_int baseline.metrics.Simt.Metrics.cycles in

@@ -39,23 +39,25 @@ val launch :
   args:Ir.Types.value list ->
   outcome
 
-(** [run_spec ?config options spec] compiles [spec.source] under
-    [options] (with [spec.coarsen] applied unless [options] already
-    requests coarsening) and executes it on [config] adjusted by
-    [spec.tweak_config]. *)
-val run_spec :
-  ?config:Simt.Config.t -> ?faults:Simt.Faults.t -> Compile.options -> Workloads.Spec.t -> outcome
+(** [compile_spec config options spec] prepares a workload spec for a
+    launch: it compiles [spec.source] under [options], with
+    [spec.coarsen] applied unless [options] already requests
+    coarsening, and returns [config] adjusted by [spec.tweak_config]
+    with the compiled artifact. *)
+val compile_spec :
+  Simt.Config.t -> Compile.options -> Workloads.Spec.t -> Simt.Config.t * Compile.compiled
+
+(** [run_spec ?config options spec] launches {!compile_spec}'s artifact
+    with [spec.init] and [spec.args], and checks the output with
+    [spec.check]. *)
+val run_spec : ?config:Simt.Config.t -> Compile.options -> Workloads.Spec.t -> outcome
 
 (** [run_source ?config ?init options ~source ~args] for ad-hoc programs
     (no output check). [init] fills global memory before launch; by
-    default memory is zero-initialised with integer zeros. [faults]
-    injects chaos faults during execution; [entry] launches the named
-    kernel instead of the program default. *)
+    default memory is zero-initialised with integer zeros. *)
 val run_source :
   ?config:Simt.Config.t ->
   ?init:(Ir.Types.program -> Simt.Memsys.t -> unit) ->
-  ?faults:Simt.Faults.t ->
-  ?entry:string ->
   Compile.options ->
   source:string ->
   args:Ir.Types.value list ->

@@ -28,7 +28,6 @@ let all = [ Swap_waits; Dup_join; Drop_cancel; Stray_slot; Relocate_wait ]
 (* All (func, block, index, inst) sites matching [keep], in deterministic
    (func, block, index) order. *)
 let sites (p : T.program) keep =
-  let fnames = Hashtbl.fold (fun n _ acc -> n :: acc) p.T.funcs [] |> List.sort compare in
   List.concat_map
     (fun n ->
       let f = Hashtbl.find p.T.funcs n in
@@ -38,7 +37,7 @@ let sites (p : T.program) keep =
           |> List.mapi (fun i inst -> (n, bid, i, inst))
           |> List.filter (fun (_, _, _, inst) -> keep inst))
         (T.block_ids f))
-    fnames
+    (T.func_names p)
 
 let pick rng xs =
   match xs with [] -> None | _ -> Some (List.nth xs (Sm.int rng (List.length xs)))
@@ -67,26 +66,26 @@ let try_mutation rng (p : T.program) = function
       | Some (_, b2, i2, w2) ->
         let f = func p fn in
         let s1 = Option.get (T.barrier_of w1) and s2 = Option.get (T.barrier_of w2) in
-        Passes.Edit.rewrite_slot_at f b1 i1 s2;
-        Passes.Edit.rewrite_slot_at f b2 i2 s1;
+        Ir.Edit.rewrite_slot_at f b1 i1 s2;
+        Ir.Edit.rewrite_slot_at f b2 i2 s1;
         Some ()))
   | Dup_join -> (
     match pick rng (sites p is_join) with
     | None -> None
     | Some (fn, b, i, j) ->
-      Passes.Edit.insert_at (func p fn) b (i + 1) j;
+      Ir.Edit.insert_at (func p fn) b (i + 1) j;
       Some ())
   | Drop_cancel -> (
     match pick rng (sites p is_cancel) with
     | None -> None
     | Some (fn, b, i, _) ->
-      ignore (Passes.Edit.remove_at (func p fn) b i);
+      ignore (Ir.Edit.remove_at (func p fn) b i);
       Some ())
   | Stray_slot -> (
     match pick rng (sites p (fun i -> T.barrier_of i <> None)) with
     | None -> None
     | Some (fn, b, i, _) ->
-      Passes.Edit.rewrite_slot_at (func p fn) b i (p.T.next_barrier + 3);
+      Ir.Edit.rewrite_slot_at (func p fn) b i (p.T.next_barrier + 3);
       Some ())
   | Relocate_wait -> (
     match pick rng (sites p is_wait) with
@@ -96,7 +95,7 @@ let try_mutation rng (p : T.program) = function
       match pick rng (List.filter (fun b' -> b' <> b) (T.block_ids f)) with
       | None -> None
       | Some b' ->
-        Passes.Edit.move_inst f ~from_block:b ~from_index:i ~to_block:b';
+        Ir.Edit.move_inst f ~from_block:b ~from_index:i ~to_block:b';
         Some ()))
 
 (* [mutate rng p] returns a structurally-valid mutant and the mutation

@@ -1,57 +1,51 @@
 module L = Linear
 module T = Types
 
-(* Opcodes: dense from 0 so the interpreter's integer match compiles to a
-   flat jump table. The interpreter matches on the literal values — any
-   renumbering here must be mirrored in Simt.Interp's dispatch (the
-   fuzz oracles and the differential goldens pin this down). *)
-let op_bin = 0
-let op_un = 1
-let op_mov = 2
-let op_load = 3
-let op_store = 4
-let op_tid = 5
-let op_lane = 6
-let op_nthreads = 7
-let op_rand = 8
-let op_randint = 9
-let op_join = 10
-let op_rejoin = 11
-let op_wait = 12
-let op_wait_threshold = 13
-let op_cancel = 14
-let op_arrived = 15
-let op_call = 16
-let op_ret = 17
-let op_br = 18
-let op_jump = 19
-let op_exit = 20
-let n_opcodes = 21
+type opcode =
+  | Bin
+  | Un
+  | Mov
+  | Load
+  | Store
+  | Tid
+  | Lane
+  | Nthreads
+  | Rand
+  | Randint
+  | Join
+  | Rejoin
+  | Wait
+  | Wait_threshold
+  | Cancel
+  | Arrived
+  | Call
+  | Ret
+  | Br
+  | Jump
+  | Exit
 
-let opcode_name op =
-  match op with
-  | 0 -> "bin"
-  | 1 -> "un"
-  | 2 -> "mov"
-  | 3 -> "load"
-  | 4 -> "store"
-  | 5 -> "tid"
-  | 6 -> "lane"
-  | 7 -> "nthreads"
-  | 8 -> "rand"
-  | 9 -> "randint"
-  | 10 -> "join"
-  | 11 -> "rejoin"
-  | 12 -> "wait"
-  | 13 -> "wait.th"
-  | 14 -> "cancel"
-  | 15 -> "arrived"
-  | 16 -> "call"
-  | 17 -> "ret"
-  | 18 -> "br"
-  | 19 -> "jump"
-  | 20 -> "exit"
-  | _ -> invalid_arg (Printf.sprintf "Decoded.opcode_name: bad opcode %d" op)
+let opcode_name = function
+  | Bin -> "bin"
+  | Un -> "un"
+  | Mov -> "mov"
+  | Load -> "load"
+  | Store -> "store"
+  | Tid -> "tid"
+  | Lane -> "lane"
+  | Nthreads -> "nthreads"
+  | Rand -> "rand"
+  | Randint -> "randint"
+  | Join -> "join"
+  | Rejoin -> "rejoin"
+  | Wait -> "wait"
+  | Wait_threshold -> "wait.th"
+  | Cancel -> "cancel"
+  | Arrived -> "arrived"
+  | Call -> "call"
+  | Ret -> "ret"
+  | Br -> "br"
+  | Jump -> "jump"
+  | Exit -> "exit"
 
 (* Latency classes: which Config.latencies field the slot's static issue
    latency comes from. *)
@@ -74,7 +68,7 @@ type call = {
 
 type t = {
   linear : L.t;
-  op : int array;
+  op : opcode array;
   a : int array;
   b : int array;
   c : int array;
@@ -93,7 +87,7 @@ let enc_index e = e lsr 1
 
 let decode (linear : L.t) =
   let n = Array.length linear.L.code in
-  let op = Array.make n op_exit in
+  let op = Array.make n Exit in
   let a = Array.make n 0 in
   let b = Array.make n 0 in
   let c = Array.make n 0 in
@@ -123,73 +117,73 @@ let decode (linear : L.t) =
     | L.Op i -> (
       match i with
       | T.Bin (o, d, x, y) ->
-        op.(pc) <- op_bin;
+        op.(pc) <- Bin;
         a.(pc) <- d;
         b.(pc) <- enc x;
         c.(pc) <- enc y;
         bop.(pc) <- o;
         lclass.(pc) <- (if T.is_float_op o then lc_float else lc_alu)
       | T.Un (o, d, x) ->
-        op.(pc) <- op_un;
+        op.(pc) <- Un;
         a.(pc) <- d;
         b.(pc) <- enc x;
         uop.(pc) <- o;
         lclass.(pc) <- (if T.is_special_unop o then lc_special else lc_alu)
       | T.Mov (d, x) ->
-        op.(pc) <- op_mov;
+        op.(pc) <- Mov;
         a.(pc) <- d;
         b.(pc) <- enc x
       | T.Load (d, x) ->
-        op.(pc) <- op_load;
+        op.(pc) <- Load;
         a.(pc) <- d;
         b.(pc) <- enc x;
         lclass.(pc) <- lc_mem
       | T.Store (x, v) ->
-        op.(pc) <- op_store;
+        op.(pc) <- Store;
         a.(pc) <- enc x;
         b.(pc) <- enc v;
         lclass.(pc) <- lc_mem
       | T.Tid d ->
-        op.(pc) <- op_tid;
+        op.(pc) <- Tid;
         a.(pc) <- d
       | T.Lane d ->
-        op.(pc) <- op_lane;
+        op.(pc) <- Lane;
         a.(pc) <- d
       | T.Nthreads d ->
-        op.(pc) <- op_nthreads;
+        op.(pc) <- Nthreads;
         a.(pc) <- d
       | T.Rand d ->
-        op.(pc) <- op_rand;
+        op.(pc) <- Rand;
         a.(pc) <- d;
         lclass.(pc) <- lc_rand
       | T.Randint (d, x) ->
-        op.(pc) <- op_randint;
+        op.(pc) <- Randint;
         a.(pc) <- d;
         b.(pc) <- enc x;
         lclass.(pc) <- lc_rand
       | T.Join s ->
-        op.(pc) <- op_join;
+        op.(pc) <- Join;
         a.(pc) <- s;
         lclass.(pc) <- lc_barrier
       | T.Rejoin s ->
-        op.(pc) <- op_rejoin;
+        op.(pc) <- Rejoin;
         a.(pc) <- s;
         lclass.(pc) <- lc_barrier
       | T.Wait s ->
-        op.(pc) <- op_wait;
+        op.(pc) <- Wait;
         a.(pc) <- s;
         lclass.(pc) <- lc_barrier
       | T.Wait_threshold (s, k) ->
-        op.(pc) <- op_wait_threshold;
+        op.(pc) <- Wait_threshold;
         a.(pc) <- s;
         b.(pc) <- k;
         lclass.(pc) <- lc_barrier
       | T.Cancel s ->
-        op.(pc) <- op_cancel;
+        op.(pc) <- Cancel;
         a.(pc) <- s;
         lclass.(pc) <- lc_barrier
       | T.Arrived (d, s) ->
-        op.(pc) <- op_arrived;
+        op.(pc) <- Arrived;
         a.(pc) <- d;
         b.(pc) <- s;
         lclass.(pc) <- lc_barrier
@@ -197,7 +191,7 @@ let decode (linear : L.t) =
         (* The linearizer turns every Call into Lcall. *)
         invalid_arg (Printf.sprintf "Decoded.decode: raw call at pc %d" pc))
     | L.Lcall { entry; n_regs; args; ret; callee } ->
-      op.(pc) <- op_call;
+      op.(pc) <- Call;
       a.(pc) <-
         add_call
           {
@@ -209,20 +203,20 @@ let decode (linear : L.t) =
           };
       lclass.(pc) <- lc_call
     | L.Lret x ->
-      op.(pc) <- op_ret;
+      op.(pc) <- Ret;
       a.(pc) <- (match x with Some o -> enc o | None -> -1);
       lclass.(pc) <- lc_call
     | L.Lbr { cond; target } ->
-      op.(pc) <- op_br;
+      op.(pc) <- Br;
       a.(pc) <- enc cond;
       b.(pc) <- target;
       lclass.(pc) <- lc_branch
     | L.Ljump target ->
-      op.(pc) <- op_jump;
+      op.(pc) <- Jump;
       a.(pc) <- target;
       lclass.(pc) <- lc_branch
     | L.Lexit ->
-      op.(pc) <- op_exit;
+      op.(pc) <- Exit;
       lclass.(pc) <- lc_branch
   done;
   (* Block-entry slots: the profiler counts lane-executions per basic
@@ -292,24 +286,24 @@ let pp ppf t =
       Format.fprintf ppf "%4d [bb%d] %-8s" pc loc.L.in_block (opcode_name opc);
       let enc1 e = Format.fprintf ppf " %a" (pp_enc t) e in
       (match opc with
-      | 0 (* bin *) ->
+      | Bin ->
         Format.fprintf ppf ".%s r%d <-" (Printer.binop_name t.bop.(pc)) t.a.(pc);
         enc1 t.b.(pc);
         enc1 t.c.(pc)
-      | 1 (* un *) ->
+      | Un ->
         Format.fprintf ppf ".%s r%d <-" (Printer.unop_name t.uop.(pc)) t.a.(pc);
         enc1 t.b.(pc)
-      | 2 (* mov *) | 3 (* load *) | 9 (* randint *) ->
+      | Mov | Load | Randint ->
         Format.fprintf ppf " r%d <-" t.a.(pc);
         enc1 t.b.(pc)
-      | 4 (* store *) ->
+      | Store ->
         enc1 t.a.(pc);
         enc1 t.b.(pc)
-      | 5 | 6 | 7 | 8 (* tid/lane/nthreads/rand *) -> Format.fprintf ppf " r%d" t.a.(pc)
-      | 10 | 11 | 12 | 14 (* join/rejoin/wait/cancel *) -> Format.fprintf ppf " b%d" t.a.(pc)
-      | 13 (* wait.th *) -> Format.fprintf ppf " b%d k=%d" t.a.(pc) t.b.(pc)
-      | 15 (* arrived *) -> Format.fprintf ppf " r%d <- b%d" t.a.(pc) t.b.(pc)
-      | 16 (* call *) ->
+      | Tid | Lane | Nthreads | Rand -> Format.fprintf ppf " r%d" t.a.(pc)
+      | Join | Rejoin | Wait | Cancel -> Format.fprintf ppf " b%d" t.a.(pc)
+      | Wait_threshold -> Format.fprintf ppf " b%d k=%d" t.a.(pc) t.b.(pc)
+      | Arrived -> Format.fprintf ppf " r%d <- b%d" t.a.(pc) t.b.(pc)
+      | Call ->
         let ci = t.calls.(t.a.(pc)) in
         Format.fprintf ppf " %s ->%d regs=%d ret=%s args=(" ci.ccallee ci.centry ci.cn_regs
           (if ci.cret >= 0 then Printf.sprintf "r%d" ci.cret else "-");
@@ -319,12 +313,11 @@ let pp ppf t =
             pp_enc t ppf e)
           ci.cargs;
         Format.pp_print_string ppf ")"
-      | 17 (* ret *) -> enc1 t.a.(pc)
-      | 18 (* br *) ->
+      | Ret -> enc1 t.a.(pc)
+      | Br ->
         enc1 t.a.(pc);
         Format.fprintf ppf " ->%d" t.b.(pc)
-      | 19 (* jump *) -> Format.fprintf ppf " ->%d" t.a.(pc)
-      | 20 (* exit *) -> ()
-      | _ -> Format.fprintf ppf " ?%d ?%d ?%d" t.a.(pc) t.b.(pc) t.c.(pc));
+      | Jump -> Format.fprintf ppf " ->%d" t.a.(pc)
+      | Exit -> ());
       Format.fprintf ppf "  ; %s@." (lclass_name t.lclass.(pc)))
     t.op

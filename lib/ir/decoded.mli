@@ -1,13 +1,11 @@
 (** Pre-decoded threaded code: the interpreter's execution unit.
 
-    {!Linear.t} is still a tree of boxed ADTs — every issue of the
-    interpreter's hot loop used to pattern-match [Linear.linst] and then
-    [Types.inst], and match each [Types.operand] per lane. [decode]
-    lowers a linearized program {e once}, at compile time, into a flat
-    struct-of-arrays form:
+    {!Linear.t} is a tree of boxed ADTs. [decode] lowers it {e once},
+    at compile time, into a flat struct-of-arrays form, so the issue
+    loop matches no [Linear.linst], [Types.inst] or [Types.operand]:
 
-    - one small {e opcode int} per slot ({!op_bin} .. {!op_exit}), so the
-      issue loop dispatches through a single dense jump table;
+    - one {e opcode} per slot, a constant constructor of {!opcode}, so
+      the issue loop dispatches through a single dense jump table;
     - up to three {e integer fields} per slot ([a]/[b]/[c]): destination
       registers, encoded operands, barrier slots, thresholds and branch
       targets — all resolved to absolute indices at decode time;
@@ -20,10 +18,8 @@
 
     The result is immutable after [decode] and references its source
     {!Linear.t} only for metadata (locations, function table, memory
-    layout) — never on the per-issue path. It is also the natural
-    cacheable compile artifact: a content-addressed compile cache
-    (ROADMAP's [srserved]) can key on the source digest and hand every
-    subsequent launch the same decoded program.
+    layout) — never on the per-issue path. It is the artifact srserved's
+    content-addressed compile cache hands to every launch of a kernel.
 
     {2 Operand encoding}
 
@@ -35,56 +31,34 @@
 
 (** {2 Opcodes}
 
-    Dense, starting at 0, so an integer [match] in the interpreter
-    compiles to a flat jump table. [Join] and [Rejoin] keep distinct
-    opcodes (their provenance matters to dumps and tests) but share
-    semantics. *)
+    Constant constructors, so the interpreter's [match] on them compiles
+    to a flat jump table. The comment on each gives its fields. [Join]
+    and [Rejoin] keep distinct opcodes (their provenance matters to
+    dumps and tests) but share semantics. *)
+type opcode =
+  | Bin  (** a=dst  b=src1  c=src2  (+ bop table) *)
+  | Un  (** a=dst  b=src  (+ uop table) *)
+  | Mov  (** a=dst  b=src *)
+  | Load  (** a=dst  b=addr *)
+  | Store  (** a=addr  b=value *)
+  | Tid  (** a=dst *)
+  | Lane  (** a=dst *)
+  | Nthreads  (** a=dst *)
+  | Rand  (** a=dst *)
+  | Randint  (** a=dst  b=bound *)
+  | Join  (** a=slot *)
+  | Rejoin  (** a=slot *)
+  | Wait  (** a=slot *)
+  | Wait_threshold  (** a=slot  b=threshold *)
+  | Cancel  (** a=slot *)
+  | Arrived  (** a=dst  b=slot *)
+  | Call  (** a=index into [calls] *)
+  | Ret  (** a=encoded operand or -1 *)
+  | Br  (** a=cond  b=absolute target pc *)
+  | Jump  (** a=absolute target pc *)
+  | Exit
 
-val op_bin : int (* 0   a=dst  b=src1  c=src2  (+ bop table) *)
-
-val op_un : int (* 1   a=dst  b=src            (+ uop table) *)
-
-val op_mov : int (* 2   a=dst  b=src *)
-
-val op_load : int (* 3   a=dst  b=addr *)
-
-val op_store : int (* 4   a=addr b=value *)
-
-val op_tid : int (* 5   a=dst *)
-
-val op_lane : int (* 6   a=dst *)
-
-val op_nthreads : int (* 7   a=dst *)
-
-val op_rand : int (* 8   a=dst *)
-
-val op_randint : int (* 9   a=dst  b=bound *)
-
-val op_join : int (* 10  a=slot *)
-
-val op_rejoin : int (* 11  a=slot *)
-
-val op_wait : int (* 12  a=slot *)
-
-val op_wait_threshold : int (* 13  a=slot  b=threshold *)
-
-val op_cancel : int (* 14  a=slot *)
-
-val op_arrived : int (* 15  a=dst  b=slot *)
-
-val op_call : int (* 16  a=index into [calls] *)
-
-val op_ret : int (* 17  a=encoded operand or -1 *)
-
-val op_br : int (* 18  a=cond  b=absolute target pc *)
-
-val op_jump : int (* 19  a=absolute target pc *)
-
-val op_exit : int (* 20 *)
-
-val n_opcodes : int
-
-val opcode_name : int -> string
+val opcode_name : opcode -> string
 
 (** {2 Latency classes}
 
@@ -123,13 +97,13 @@ type call = {
 
 type t = {
   linear : Linear.t;  (** provenance: locations, functions, memory layout *)
-  op : int array;  (** opcode per slot *)
+  op : opcode array;  (** opcode per slot *)
   a : int array;  (** field 1 (see opcode table) *)
   b : int array;  (** field 2 *)
   c : int array;  (** field 3 *)
   lclass : int array;  (** latency class per slot *)
-  bop : Types.binop array;  (** sub-opcode for {!op_bin} slots *)
-  uop : Types.unop array;  (** sub-opcode for {!op_un} slots *)
+  bop : Types.binop array;  (** sub-opcode for [Bin] slots *)
+  uop : Types.unop array;  (** sub-opcode for [Un] slots *)
   vals : Types.value array;  (** immediate pool *)
   calls : call array;  (** call descriptors, indexed by field [a] *)
   bslot : int array;

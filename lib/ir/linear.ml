@@ -49,8 +49,7 @@ let term_size term ~next =
 let block_size b ~next = List.length b.insts + term_size b.term ~next
 
 let function_order (p : program) =
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
-  p.kernel :: List.filter (fun n -> not (String.equal n p.kernel)) names
+  p.kernel :: List.filter (fun n -> not (String.equal n p.kernel)) (func_names p)
 
 let linearize (p : program) =
   Verifier.check_program_exn p;

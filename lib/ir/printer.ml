@@ -117,8 +117,7 @@ let pp_func ppf f =
 let pp_program ppf p =
   Hashtbl.iter (fun name (base, size) -> Format.fprintf ppf "global %s @%d[%d]@." name base size)
     p.globals;
-  let names = Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs [] in
-  let names = List.sort compare names in
+  let names = func_names p in
   let kernel_first = List.filter (String.equal p.kernel) names in
   let rest = List.filter (fun n -> not (String.equal p.kernel n)) names in
   List.iter

@@ -170,6 +170,10 @@ let block_ids f =
   let ids = Hashtbl.fold (fun id _ acc -> id :: acc) f.blocks [] in
   List.sort compare ids
 
+(* Function names, ascending: the deterministic order of every
+   whole-program walk. *)
+let func_names p = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs [])
+
 let iter_blocks f g = List.iter (fun id -> g (block f id)) (block_ids f)
 
 let predecessors f =

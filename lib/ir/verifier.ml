@@ -99,7 +99,7 @@ let check_program p =
           { where = "program"; message = Printf.sprintf "kernel %s is not defined" k }
           :: !errors)
     p.kernels;
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = func_names p in
   List.iter
     (fun name ->
       let f = Hashtbl.find p.funcs name in

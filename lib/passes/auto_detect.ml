@@ -290,7 +290,7 @@ let detect_in_func ?profile params (p : T.program) divergence name =
   end
 
 let detect ?profile params (p : T.program) =
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = T.func_names p in
   let all = List.concat_map (detect_in_func ?profile params p (Analysis.Divergence.run p)) names in
   List.filter (fun c -> c.score >= params.min_gain_ratio) all
   |> List.sort (fun a b -> compare b.score a.score)

@@ -56,7 +56,7 @@ let run ?(model_call_waits = true) (p : T.program) ~strategy ~priority =
   in
   let resolutions = ref [] in
   let unresolved = ref [] in
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = T.func_names p in
   List.iter
     (fun name ->
       let f = Hashtbl.find p.funcs name in
@@ -81,7 +81,7 @@ let run ?(model_call_waits = true) (p : T.program) ~strategy ~priority =
           else begin
             let kept, demoted = if px > py then (x, y) else (y, x) in
             (match strategy with
-            | Static -> ignore (Edit.remove_barrier_ops f demoted)
+            | Static -> ignore (Ir.Edit.remove_barrier_ops f demoted)
             | Dynamic -> dynamic_cancel f ~call_waits ~kept ~demoted);
             resolutions := { in_func = name; kept; demoted; strategy } :: !resolutions
           end

@@ -105,7 +105,7 @@ let apply_hint (p : T.program) cg (f : T.func) (hint : T.predict_hint) callee =
       (* Insert from the back so earlier indices stay valid. *)
       List.iter
         (fun idx ->
-          Edit.insert_at f blk.id (idx + 1) (T.Rejoin b);
+          Ir.Edit.insert_at f blk.id (idx + 1) (T.Rejoin b);
           if not (List.mem blk.id !rejoin_sites) then rejoin_sites := blk.id :: !rejoin_sites)
         !insertions)
   ;
@@ -131,7 +131,7 @@ let apply_hint (p : T.program) cg (f : T.func) (hint : T.predict_hint) callee =
 
 let run (p : T.program) =
   let cg = Analysis.Callgraph.build p in
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = T.func_names p in
   List.concat_map
     (fun name ->
       let f = Hashtbl.find p.funcs name in

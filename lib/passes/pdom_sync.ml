@@ -2,7 +2,7 @@ module T = Ir.Types
 
 let run (p : T.program) divergence =
   let inserted = ref [] in
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = T.func_names p in
   List.iter
     (fun name ->
       let f = Hashtbl.find p.funcs name in
@@ -24,7 +24,7 @@ let run (p : T.program) divergence =
                  post-dominator: a thread must withdraw from barriers it
                  is abandoning before it blocks here, or the abandoned
                  barrier can never fire. *)
-              Edit.insert_after_leading f d
+              Ir.Edit.insert_after_leading f d
                 ~skip:(fun i -> match i with T.Cancel _ -> true | _ -> false)
                 (T.Wait b);
               inserted := (name, bid, b) :: !inserted

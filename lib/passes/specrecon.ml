@@ -63,7 +63,7 @@ let apply_hint (p : T.program) (f : T.func) (hint : T.predict_hint) label =
   let ba = BA.run f in
   let live_after_wait = BA.live_at ba { BA.block = target_block; index = 1 } in
   let rejoined = ISet.mem b0 live_after_wait in
-  if rejoined then Edit.insert_at f target_block 1 (T.Rejoin b0);
+  if rejoined then Ir.Edit.insert_at f target_block 1 (T.Rejoin b0);
   (* Cancels at the liveness frontier, from a fresh analysis that includes
      the rejoin. *)
   let ba = BA.run f in
@@ -95,7 +95,7 @@ let apply_hint (p : T.program) (f : T.func) (hint : T.predict_hint) label =
       Ir.Builder.prepend f region_start (T.Join b1);
       (* The region wait goes after the frontier cancels already sitting
          at the exit block, mirroring Figure 4(d)'s BB5. *)
-      Edit.insert_after_leading f exit_block
+      Ir.Edit.insert_after_leading f exit_block
         ~skip:(fun i -> match i with T.Cancel _ -> true | _ -> false)
         (T.Wait b1);
       Some b1
@@ -112,7 +112,7 @@ let apply_hint (p : T.program) (f : T.func) (hint : T.predict_hint) label =
   }
 
 let run (p : T.program) =
-  let names = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []) in
+  let names = T.func_names p in
   List.concat_map
     (fun name ->
       let f = Hashtbl.find p.funcs name in

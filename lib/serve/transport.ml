@@ -1,14 +1,15 @@
-(* Unix-domain-socket front end for the srserved engine.
+(* srserved's two front ends: a request stream read from a channel
+   (stdin or a trace file), and a Unix-domain socket serving any number
+   of connections over one shared {!Server.t}.
 
-   One single-threaded select loop multiplexes any number of client
-   connections over one shared {!Server.t}: per-connection input
-   buffers accumulate request lines under exactly the stdio batching
-   rules (blank line flushes, [max_batch] caps a segment, a non-run
-   line flushes then answers in place), and each batch runs to
-   completion on the coordinating thread before the next connection's
-   bytes are looked at — so every connection sees the same
-   byte-identical response stream it would have gotten over stdio,
-   whatever the interleaving.
+   Both batch request lines through one handler, [handle_line]: a blank
+   line flushes the batch, [max_batch] caps a segment, a non-run line
+   flushes the batch and is then answered in place, and [quit] or
+   [shutdown] ends the stream. The socket's single-threaded select loop
+   runs each batch to completion on the coordinating thread before it
+   looks at the next connection's bytes, so every connection sees the
+   byte-identical response stream the channel front end would have
+   written, whatever the interleaving.
 
    Hostility is contained per connection:
    - a peer that goes quiet mid-line holds only its own buffer; after
@@ -28,12 +29,75 @@
 
 module P = Protocol
 
+(* One request stream's batch state, whichever front end feeds it. *)
+type stream = {
+  write : string -> unit; (* newline-terminated response lines *)
+  mutable pending : string list; (* reversed run lines awaiting a flush *)
+  mutable alive : bool; (* false once the stream ended or its peer died *)
+}
+
+(* All responses for one batch go out in a single write; a failed socket
+   write ends that stream without touching anyone else. *)
+let respond server st lines =
+  let out = Server.submit_lines server lines in
+  try st.write (String.concat "" (List.map (fun l -> l ^ "\n") out))
+  with Unix.Unix_error _ -> st.alive <- false
+
+let flush_pending server st =
+  if st.pending <> [] then begin
+    let lines = List.rev st.pending in
+    st.pending <- [];
+    respond server st lines
+  end
+
+let is_run_line line =
+  let line = String.trim line in
+  String.length line >= 4 && String.sub line 0 4 = "run "
+
+let handle_line server ~max_batch st line =
+  if String.trim line = "" then flush_pending server st
+  else if is_run_line line then begin
+    st.pending <- line :: st.pending;
+    if List.length st.pending >= max_batch then flush_pending server st
+  end
+  else begin
+    (* stats / quit / shutdown / malformed: sequential markers — the
+       batch before them answers first. *)
+    flush_pending server st;
+    respond server st [ line ];
+    match P.parse_command line with
+    | Ok P.Quit | Ok P.Shutdown ->
+      (* Either way this stream ends with its [bye]; for shutdown the
+         server is now draining and the socket loop winds down. *)
+      st.alive <- false
+    | _ -> ()
+  end
+
+let serve_channel ~max_batch server ic oc =
+  if max_batch < 1 then invalid_arg "Transport.serve_channel: max_batch must be >= 1";
+  let st =
+    {
+      write =
+        (fun s ->
+          output_string oc s;
+          flush oc);
+      pending = [];
+      alive = true;
+    }
+  in
+  try
+    while st.alive do
+      handle_line server ~max_batch st (input_line ic)
+    done
+  with End_of_file -> flush_pending server st
+
+(* ---- the socket front end ---- *)
+
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;
-  mutable pending : string list; (* reversed run lines awaiting a flush *)
   mutable partial_since : float option; (* unterminated line age, for timeouts *)
-  mutable alive : bool;
+  st : stream;
 }
 
 let write_all fd s =
@@ -45,51 +109,14 @@ let write_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* All responses for one batch go out in a single write; a failure marks
-   the connection dead without touching anyone else. *)
-let respond server conn lines =
-  let out = Server.submit_lines server lines in
-  try write_all conn.fd (String.concat "" (List.map (fun l -> l ^ "\n") out))
-  with Unix.Unix_error _ -> conn.alive <- false
-
 let send_raw conn line =
-  try write_all conn.fd (line ^ "\n") with Unix.Unix_error _ -> conn.alive <- false
-
-let flush_pending server conn =
-  if conn.pending <> [] then begin
-    let lines = List.rev conn.pending in
-    conn.pending <- [];
-    respond server conn lines
-  end
-
-let is_run_line line =
-  let line = String.trim line in
-  String.length line >= 4 && String.sub line 0 4 = "run "
-
-let handle_line server ~max_batch conn line =
-  if String.trim line = "" then flush_pending server conn
-  else if is_run_line line then begin
-    conn.pending <- line :: conn.pending;
-    if List.length conn.pending >= max_batch then flush_pending server conn
-  end
-  else begin
-    (* stats / quit / shutdown / malformed: sequential markers — the
-       batch before them answers first. *)
-    flush_pending server conn;
-    respond server conn [ line ];
-    match P.parse_command line with
-    | Ok P.Quit | Ok P.Shutdown ->
-      (* Either way this connection's stream ends with its [bye]; for
-         shutdown the server is now draining and the loop winds down. *)
-      conn.alive <- false
-    | _ -> ()
-  end
+  try write_all conn.fd (line ^ "\n") with Unix.Unix_error _ -> conn.st.alive <- false
 
 (* Split complete lines out of the buffer; whatever remains is a partial
    whose age starts the read-timeout clock. *)
 let consume server ~max_batch conn =
   let continue = ref true in
-  while !continue && conn.alive do
+  while !continue && conn.st.alive do
     let data = Buffer.contents conn.buf in
     match String.index_opt data '\n' with
     | None ->
@@ -101,14 +128,14 @@ let consume server ~max_batch conn =
       Buffer.clear conn.buf;
       Buffer.add_substring conn.buf data (i + 1) (String.length data - i - 1);
       conn.partial_since <- None;
-      handle_line server ~max_batch conn line
+      handle_line server ~max_batch conn.st line
   done
 
 let reject conn kind msg =
   send_raw conn
     (P.print_response
        (P.Error { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind; msg }));
-  conn.alive <- false
+  conn.st.alive <- false
 
 let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) server ~socket_path
     () =
@@ -127,9 +154,9 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
        bounces it with the back-off hint), say goodbye, tear down. *)
     List.iter
       (fun c ->
-        if c.alive then begin
-          flush_pending server c;
-          if c.alive then send_raw c (P.print_response P.Bye)
+        if c.st.alive then begin
+          flush_pending server c.st;
+          if c.st.alive then send_raw c (P.print_response P.Bye)
         end;
         try Unix.close c.fd with Unix.Unix_error _ -> ())
       !conns;
@@ -142,20 +169,20 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
     | 0 ->
       (* EOF flushes like the stdio loop's: buffered work still answers. *)
       consume server ~max_batch c;
-      flush_pending server c;
-      c.alive <- false
+      flush_pending server c.st;
+      c.st.alive <- false
     | n ->
       Buffer.add_subbytes c.buf chunk 0 n;
       consume server ~max_batch c;
-      if c.alive && Buffer.length c.buf > max_line then
+      if c.st.alive && Buffer.length c.buf > max_line then
         reject c "overflow" (Printf.sprintf "request line exceeds %d bytes" max_line)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> c.alive <- false
+    | exception Unix.Unix_error _ -> c.st.alive <- false
   in
   let rec loop () =
     if Server.draining server then finish ()
     else begin
-      let live = List.filter (fun c -> c.alive) !conns in
+      let live = List.filter (fun c -> c.st.alive) !conns in
       (* Wake in time for the earliest partial-line deadline; otherwise
          tick coarsely so a signal-driven drain is noticed promptly. *)
       let now = Unix.gettimeofday () in
@@ -173,18 +200,17 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
         if List.memq listen_fd ready then begin
           match Unix.accept listen_fd with
           | fd, _ ->
-            conns :=
-              { fd; buf = Buffer.create 256; pending = []; partial_since = None; alive = true }
-              :: !conns
+            let st = { write = write_all fd; pending = []; alive = true } in
+            conns := { fd; buf = Buffer.create 256; partial_since = None; st } :: !conns
           | exception Unix.Unix_error _ -> ()
         end;
-        List.iter (fun c -> if c.alive && List.memq c.fd ready then read_conn c) live);
+        List.iter (fun c -> if c.st.alive && List.memq c.fd ready then read_conn c) live);
       (* Enforce read timeouts on connections still holding a torn line. *)
       let now = Unix.gettimeofday () in
       List.iter
         (fun c ->
           match c.partial_since with
-          | Some t0 when c.alive && now -. t0 >= read_timeout ->
+          | Some t0 when c.st.alive && now -. t0 >= read_timeout ->
             reject c "timeout"
               (Printf.sprintf "no newline within %.3gs of a partial line" read_timeout)
           | _ -> ())
@@ -192,7 +218,7 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
       conns :=
         List.filter
           (fun c ->
-            if c.alive then true
+            if c.st.alive then true
             else begin
               (try Unix.close c.fd with Unix.Unix_error _ -> ());
               false

@@ -117,7 +117,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   let da = dprog.D.a and db = dprog.D.b and dc = dprog.D.c in
   let bops = dprog.D.bop and uops = dprog.D.uop in
   let vals = dprog.D.vals and calls = dprog.D.calls in
-  let n_code = Array.length dcode in
   (* Static issue latencies, resolved per slot from the decode-time
      latency class — the hot path never re-classifies an opcode. Memory
      slots keep a placeholder; their cost is dynamic (coalescing). *)
@@ -134,7 +133,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         else 0)
       dprog.D.lclass
   in
-  ignore n_code;
   (* Per-block lane counts, keyed by the decode-time block slots; folded
      into [profile] once at the end of the run so the hot loop pays one
      int-array bump instead of a hashtable update per block entry. *)
@@ -174,6 +172,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         w)
   in
   let n_threads = config.n_warps * config.warp_size in
+  let v_nthreads = T.I n_threads in
   (* The binding issue budget: fuel when it is set and tighter than the
      cap, else the cap (which wins a tie). *)
   let budget, limit =
@@ -440,199 +439,29 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   (* Execute one issued group: all lanes of [active] sit at [pc].
 
      This is the threaded-code dispatch the decode stage exists for: one
-     dense integer match over the opcode column (a flat jump table — the
-     literal values mirror Ir.Decoded's op_* table), operands read
-     through the encoded-int scheme, and every lane walk an open-coded
-     peel over the mask bits — no ADT match, no closure per issue, no
-     name resolution. Compute and advance fuse into a single pass where
-     lanes are independent; loads/stores keep the two-pass gather/commit
-     shape because the coalescing cost must be known before lanes can be
-     advanced. *)
+     match over the opcode column (constant constructors, a flat jump
+     table), operands read through the encoded-int scheme, and every
+     lane walk an open-coded peel over the mask bits — no ADT match on
+     the instruction, no closure per issue, no name resolution. Three
+     arms own their shape: loads and stores gather every address, cost
+     the access, then commit; waits block or pass each lane, then
+     regroup; exit retires lanes. Every other opcode runs in one lane
+     walk that computes and advances each lane in a single pass,
+     matching the opcode per lane, and then does its per-issue tail. *)
   let execute w pc active =
     w.ready_stale <- true;
     let threads = w.threads in
-    match dcode.(pc) with
-    | 0 (* bin *) ->
-      let d = da.(pc) and x = db.(pc) and y = dc.(pc) in
-      let o = bops.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      (* Superop specialization: the sub-opcode is uniform across the
-         group, so match it once per issue and run the hottest ops with
-         the arithmetic inlined in the lane loop. Every specialized arm
-         falls back to {!Valops.binop} on an operand-kind mismatch, so
-         Valops stays the single source of semantics — type errors,
-         division by zero, and the shared boolean values included. *)
-      (match o with
-      | T.Add ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a + b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Sub ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a - b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Mul ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a * b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Lt ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a < b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Le ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a <= b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Eq ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a = b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Fadd ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.F a, T.F b -> T.F (a +. b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Fmul ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.F a, T.F b -> T.F (a *. b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | _ ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          th.cur_regs.(d) <- Valops.binop o (eval_enc th x) (eval_enc th y);
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done)
-    | 1 (* un *) ->
-      let d = da.(pc) and x = db.(pc) in
-      let o = uops.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- Valops.unop o (eval_enc th x);
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 2 (* mov *) ->
-      let d = da.(pc) and x = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- eval_enc th x;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 3 (* load *) ->
+    let op = dcode.(pc) and fa = da.(pc) and fb = db.(pc) in
+    match op with
+    | D.Load | D.Store ->
       metrics.mem_accesses <- metrics.mem_accesses + 1;
-      let d = da.(pc) and x = db.(pc) in
+      (* load: a=dst b=addr; store: a=addr b=value *)
+      let addr = if op = D.Load then fb else fa in
       let n = ref 0 in
       let bits = ref (Mask.bits active) in
       while !bits <> 0 do
         let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        addr_buf.(!n) <- Valops.to_int (eval_enc th x);
-        incr n;
-        bits := !bits land (!bits - 1)
-      done;
-      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n:!n) in
-      let pc1 = pc + 1 and ready = !cycle + cost in
-      let i = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- Memsys.read memory addr_buf.(!i);
-        incr i;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done;
-      (match race with
-      | None -> ()
-      | Some rl ->
-        let i = ref 0 in
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          Race_log.on_read rl ~warp:w.wid ~tid:th.tid ~pc ~addr:addr_buf.(!i);
-          incr i;
-          bits := !bits land (!bits - 1)
-        done)
-    | 4 (* store *) ->
-      metrics.mem_accesses <- metrics.mem_accesses + 1;
-      let x = da.(pc) and v = db.(pc) in
-      let n = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        addr_buf.(!n) <- Valops.to_int (eval_enc th x);
+        addr_buf.(!n) <- Valops.to_int (eval_enc th addr);
         incr n;
         bits := !bits land (!bits - 1)
       done;
@@ -645,106 +474,34 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       let bits = ref (Mask.bits active) in
       while !bits <> 0 do
         let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Memsys.write memory addr_buf.(!i) (eval_enc th v);
+        let addr = addr_buf.(!i) in
+        (if op = D.Load then begin
+           th.cur_regs.(fa) <- Memsys.read memory addr;
+           match race with
+           | Some rl -> Race_log.on_read rl ~warp:w.wid ~tid:th.tid ~pc ~addr
+           | None -> ()
+         end
+         else begin
+           Memsys.write memory addr (eval_enc th fb);
+           match race with
+           | Some rl -> Race_log.on_write rl ~warp:w.wid ~tid:th.tid ~pc ~addr
+           | None -> ()
+         end);
         incr i;
         th.pc <- pc1;
         th.ready_at <- ready;
         bits := !bits land (!bits - 1)
-      done;
-      (match race with
-      | None -> ()
-      | Some rl ->
-        let i = ref 0 in
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          Race_log.on_write rl ~warp:w.wid ~tid:th.tid ~pc ~addr:addr_buf.(!i);
-          incr i;
-          bits := !bits land (!bits - 1)
-        done)
-    | 5 (* tid *) ->
-      let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.I th.tid;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
       done
-    | 6 (* lane *) ->
-      let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.I th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 7 (* nthreads *) ->
-      let d = da.(pc) in
-      let v = T.I n_threads in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- v;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 8 (* rand *) ->
-      let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.F (Support.Splitmix.float th.rng);
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 9 (* randint *) ->
-      let d = da.(pc) and x = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        let bound = Valops.to_int (eval_enc th x) in
-        if bound <= 0 then
-          raise
-            (Runtime_error
-               (Printf.sprintf "randint bound %d not positive (%s)" bound (context w th)));
-        th.cur_regs.(d) <- T.I (Support.Splitmix.int th.rng bound);
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 10 | 11 (* join / rejoin *) ->
-      metrics.barrier_joins <- metrics.barrier_joins + 1;
-      let b = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Barrier_unit.join w.barriers b th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 12 (* wait *) ->
+    | D.Wait | D.Wait_threshold ->
       metrics.barrier_waits <- metrics.barrier_waits + 1;
-      let b = da.(pc) in
+      let threshold = if op = D.Wait then None else Some fb in
       let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
       let bits = ref (Mask.bits active) in
       while !bits <> 0 do
         let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        if Barrier_unit.is_participant w.barriers b th.lane then begin
+        if Barrier_unit.is_participant w.barriers fa th.lane then begin
           th.status <- Blocked;
-          Barrier_unit.block ~now:!cycle w.barriers b th.lane ~threshold:None
+          Barrier_unit.block ~now:!cycle w.barriers fa th.lane ~threshold
         end
         else begin
           th.pc <- pc1;
@@ -754,128 +511,117 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       done;
       (* blockers and pass-through threads part ways *)
       regroup w active;
-      release_fired w b;
+      release_fired w fa;
       watchdog w
-    | 13 (* wait.th *) ->
-      metrics.barrier_waits <- metrics.barrier_waits + 1;
-      let b = da.(pc) in
-      let threshold = Some db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        if Barrier_unit.is_participant w.barriers b th.lane then begin
-          th.status <- Blocked;
-          Barrier_unit.block ~now:!cycle w.barriers b th.lane ~threshold
-        end
-        else begin
-          th.pc <- pc1;
-          th.ready_at <- ready
-        end;
-        bits := !bits land (!bits - 1)
-      done;
-      regroup w active;
-      release_fired w b;
-      watchdog w
-    | 14 (* cancel *) ->
-      metrics.barrier_cancels <- metrics.barrier_cancels + 1;
-      let b = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Barrier_unit.cancel w.barriers b th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done;
-      release_fired w b
-    | 15 (* arrived *) ->
-      let d = da.(pc) and b = db.(pc) in
-      (* No lane mutates barrier state here, so the count is uniform
-         across the group — materialize it once. *)
-      let v = T.I (Barrier_unit.arrived w.barriers b) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- v;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 16 (* call *) ->
-      let ci = calls.(da.(pc)) in
-      let cargs = ci.D.cargs in
-      let n_args = Array.length cargs in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        let regs = Array.make ci.D.cn_regs (T.I 0) in
-        (* Arguments read the caller frame: fill the callee registers
-           before swinging cur_regs over. *)
-        for i = 0 to n_args - 1 do
-          regs.(i) <- eval_enc th cargs.(i)
-        done;
-        th.frames <- { regs; ret_pc = pc1; ret_reg = ci.D.cret } :: th.frames;
-        th.cur_regs <- regs;
-        th.pc <- ci.D.centry;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 17 (* ret *) ->
-      let x = da.(pc) in
-      let ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        (match th.frames with
-        | { ret_pc; ret_reg; _ } :: (top :: _ as rest) ->
-          (* The return operand reads the callee frame; evaluate before
-             the pop. A ret with no operand writes I 0 into a declared
-             return register (the seed semantics). *)
-          let v = if x >= 0 then eval_enc th x else T.I 0 in
-          th.frames <- rest;
-          th.cur_regs <- top.regs;
-          if ret_reg >= 0 then th.cur_regs.(ret_reg) <- v;
-          th.pc <- ret_pc;
-          th.ready_at <- ready
-        | _ -> raise (Runtime_error (Printf.sprintf "ret outside call (%s)" (context w th))));
-        bits := !bits land (!bits - 1)
-      done;
-      (* returns to different call sites split the group *)
-      regroup w active
-    | 18 (* br *) ->
-      let x = da.(pc) and target = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.pc <- (if Valops.truthy (eval_enc th x) then target else pc1);
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done;
-      (* a divergent outcome splits the convergence group *)
-      regroup w active
-    | 19 (* jump *) ->
-      let target = da.(pc) in
-      let ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.pc <- target;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 20 (* exit *) ->
+    | D.Exit ->
       let bits = ref (Mask.bits active) in
       while !bits <> 0 do
         finish_thread w threads.(Mask.lowest (Mask.of_bits !bits));
         bits := !bits land (!bits - 1)
       done;
       if metrics.threads_finished < n_threads then watchdog w
-    | _ -> assert false
+    | _ ->
+      let fc = dc.(pc) and bop = bops.(pc) in
+      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
+      (* No lane mutates barrier state under [arrived], so its count is
+         uniform across the group: materialize it once. *)
+      let arrived = if op = D.Arrived then T.I (Barrier_unit.arrived w.barriers fb) else T.I 0 in
+      let bits = ref (Mask.bits active) in
+      while !bits <> 0 do
+        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
+        th.pc <-
+          (match op with
+          | D.Bin ->
+            (* Superops: the hottest sub-opcodes run with the arithmetic
+               inlined. Every other combination — another sub-opcode or an
+               operand-kind mismatch — falls back to {!Valops.binop}, so
+               Valops stays the single source of semantics: type errors,
+               division by zero, and the shared boolean values. *)
+            (th.cur_regs.(fa) <-
+              (match (bop, eval_enc th fb, eval_enc th fc) with
+              | T.Add, T.I a, T.I b -> T.I (a + b)
+              | T.Sub, T.I a, T.I b -> T.I (a - b)
+              | T.Mul, T.I a, T.I b -> T.I (a * b)
+              | T.Lt, T.I a, T.I b -> if a < b then Valops.v_true else Valops.v_false
+              | T.Le, T.I a, T.I b -> if a <= b then Valops.v_true else Valops.v_false
+              | T.Eq, T.I a, T.I b -> if a = b then Valops.v_true else Valops.v_false
+              | T.Fadd, T.F a, T.F b -> T.F (a +. b)
+              | T.Fmul, T.F a, T.F b -> T.F (a *. b)
+              | o, xv, yv -> Valops.binop o xv yv));
+            pc1
+          | D.Un ->
+            th.cur_regs.(fa) <- Valops.unop uops.(pc) (eval_enc th fb);
+            pc1
+          | D.Mov ->
+            th.cur_regs.(fa) <- eval_enc th fb;
+            pc1
+          | D.Tid ->
+            th.cur_regs.(fa) <- T.I th.tid;
+            pc1
+          | D.Lane ->
+            th.cur_regs.(fa) <- T.I th.lane;
+            pc1
+          | D.Nthreads ->
+            th.cur_regs.(fa) <- v_nthreads;
+            pc1
+          | D.Rand ->
+            th.cur_regs.(fa) <- T.F (Support.Splitmix.float th.rng);
+            pc1
+          | D.Randint ->
+            let bound = Valops.to_int (eval_enc th fb) in
+            if bound <= 0 then
+              raise
+                (Runtime_error
+                   (Printf.sprintf "randint bound %d not positive (%s)" bound (context w th)));
+            th.cur_regs.(fa) <- T.I (Support.Splitmix.int th.rng bound);
+            pc1
+          | D.Join | D.Rejoin ->
+            Barrier_unit.join w.barriers fa th.lane;
+            pc1
+          | D.Cancel ->
+            Barrier_unit.cancel w.barriers fa th.lane;
+            pc1
+          | D.Arrived ->
+            th.cur_regs.(fa) <- arrived;
+            pc1
+          | D.Call ->
+            let ci = calls.(fa) in
+            let regs = Array.make ci.D.cn_regs (T.I 0) in
+            (* Arguments read the caller frame: fill the callee registers
+               before swinging cur_regs over. *)
+            for i = 0 to Array.length ci.D.cargs - 1 do
+              regs.(i) <- eval_enc th ci.D.cargs.(i)
+            done;
+            th.frames <- { regs; ret_pc = pc1; ret_reg = ci.D.cret } :: th.frames;
+            th.cur_regs <- regs;
+            ci.D.centry
+          | D.Ret -> (
+            match th.frames with
+            | { ret_pc; ret_reg; _ } :: (top :: _ as rest) ->
+              (* The return operand reads the callee frame; evaluate
+                 before the pop. A ret with no operand writes I 0 into a
+                 declared return register (the seed semantics). *)
+              let v = if fa >= 0 then eval_enc th fa else T.I 0 in
+              th.frames <- rest;
+              th.cur_regs <- top.regs;
+              if ret_reg >= 0 then th.cur_regs.(ret_reg) <- v;
+              ret_pc
+            | _ -> raise (Runtime_error (Printf.sprintf "ret outside call (%s)" (context w th))))
+          | D.Br -> if Valops.truthy (eval_enc th fa) then fb else pc1
+          | D.Jump -> fa
+          | D.Load | D.Store | D.Wait | D.Wait_threshold | D.Exit -> assert false);
+        th.ready_at <- ready;
+        bits := !bits land (!bits - 1)
+      done;
+      (match op with
+      | D.Join | D.Rejoin -> metrics.barrier_joins <- metrics.barrier_joins + 1
+      | D.Cancel ->
+        metrics.barrier_cancels <- metrics.barrier_cancels + 1;
+        release_fired w fa
+      (* a divergent branch outcome, or returns to different call sites,
+         split the convergence group *)
+      | D.Ret | D.Br -> regroup w active
+      | _ -> ())
   in
   (* Pick the next (warp, pc, lanes) to issue, rotating over warps.
      Candidates are convergence groups, read straight off the warp's

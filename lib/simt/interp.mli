@@ -83,7 +83,7 @@ type issue_event = {
 
 (** [run config dprog ~args ~init_memory] launches
     [config.n_warps * config.warp_size] threads of the kernel. The issue
-    loop dispatches over the decoded opcode array through a flat jump
+    loop dispatches over the decoded opcode column through a flat jump
     table — decode once with {!Ir.Decoded.decode}, run many times.
 
     [args] are the kernel parameters (uniform across threads);
@@ -94,7 +94,8 @@ type issue_event = {
     [race], when given, records every load/store into the shadow-memory
     race logger ({!Race_log}) and advances its per-warp barrier-interval
     id on every organic barrier fire — the dynamic side of
-    [srrun --race-check]; when absent the issue loop pays nothing;
+    [srrun --race-check]; when absent it costs one test per lane of a
+    load or store;
     [entry] launches the named function instead of the program's default
     kernel (multi-kernel programs; the function must be launchable).
 

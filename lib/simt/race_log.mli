@@ -25,7 +25,8 @@
     slots per cell; two readers suffice because a read-write conflict
     only needs {e some} same-interval reader of another thread to pair
     with the writer. The interpreter pays O(1) per logged access, and
-    zero when no log is attached ([?race] defaults to absent). *)
+    one test per lane of a load or store when no log is attached
+    ([?race] defaults to absent). *)
 
 type kind = Write_write | Read_write
 

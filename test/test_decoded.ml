@@ -39,7 +39,7 @@ let test_backward_branch () =
   let found = ref false in
   Array.iteri
     (fun pc op ->
-      if op = D.op_br then begin
+      if op = D.Br then begin
         found := true;
         check_int "br resolves to the loop head" pc_loop d.D.b.(pc);
         check_bool "target is backward" true (d.D.b.(pc) < pc);
@@ -70,11 +70,11 @@ let test_forward_branch () =
   let pc_join = L.block_entry_pc l ~func:"k" ~block:join in
   Array.iteri
     (fun pc op ->
-      if op = D.op_br then begin
+      if op = D.Br then begin
         check_int "br resolves to the then block" pc_then d.D.b.(pc);
         check_bool "target is forward" true (d.D.b.(pc) > pc)
       end
-      else if op = D.op_jump then
+      else if op = D.Jump then
         check_int "jumps land on the join" pc_join d.D.a.(pc))
     d.D.op;
   (* Decoding is a pure function of the linear program. *)
@@ -163,20 +163,21 @@ let test_barrier_operands () =
   B.set_term f f.T.entry T.Exit;
   let dp = D.decode (L.linearize p) in
   let expect pc op a b =
-    check_int (Printf.sprintf "pc %d opcode" pc) op dp.D.op.(pc);
+    check_string (Printf.sprintf "pc %d opcode" pc) (D.opcode_name op)
+      (D.opcode_name dp.D.op.(pc));
     check_int (Printf.sprintf "pc %d field a" pc) a dp.D.a.(pc);
     if b >= 0 then check_int (Printf.sprintf "pc %d field b" pc) b dp.D.b.(pc);
     check_int
       (Printf.sprintf "pc %d latency class" pc)
       D.lc_barrier dp.D.lclass.(pc)
   in
-  expect 0 D.op_join b0 (-1);
+  expect 0 D.Join b0 (-1);
   (* slot in [a], threshold in [b] — both plain ints, not encoded operands *)
-  expect 1 D.op_wait_threshold b1 3;
+  expect 1 D.Wait_threshold b1 3;
   (* arrived: dst register in [a], slot in [b] *)
-  expect 2 D.op_arrived d b1;
-  expect 3 D.op_cancel b0 (-1);
-  expect 4 D.op_wait b0 (-1)
+  expect 2 D.Arrived d b1;
+  expect 3 D.Cancel b0 (-1);
+  expect 4 D.Wait b0 (-1)
 
 (* ---- immediate pool ---- *)
 

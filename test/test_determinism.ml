@@ -54,9 +54,39 @@ let render_serve domains =
       let server = Serve.Server.create ~cache_capacity:32 () in
       String.concat "\n" (Serve.Server.submit_lines server serve_trace))
 
+(* The channel front end (srserved over stdin or --trace) reads the
+   same trace as request lines. Batching must not show in the answers:
+   they match the engine's, one line each. A cap of 3 flushes batches
+   as they fill; srserved's default cap, 64, holds every run line until
+   the trace's first other line flushes them. *)
+let render_channel ~max_batch domains =
+  Test_support.with_domains domains (fun () ->
+      let input = Filename.temp_file "srchannel" ".in" in
+      let output = Filename.temp_file "srchannel" ".out" in
+      Fun.protect ~finally:(fun () ->
+          Sys.remove input;
+          Sys.remove output)
+      @@ fun () ->
+      Out_channel.with_open_text input (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) serve_trace);
+      In_channel.with_open_text input (fun ic ->
+          Out_channel.with_open_text output (fun oc ->
+              Serve.Transport.serve_channel ~max_batch
+                (Serve.Server.create ~cache_capacity:32 ())
+                ic oc));
+      In_channel.with_open_text output In_channel.input_all)
+
 let test_serve_domain_independence () =
-  Alcotest.(check string) "byte-identical response stream under 1 vs 4 domains"
-    (render_serve 1) (render_serve 4)
+  let one = render_serve 1 in
+  Alcotest.(check string) "byte-identical response stream under 1 vs 4 domains" one
+    (render_serve 4);
+  List.iter
+    (fun max_batch ->
+      Alcotest.(check string)
+        (Printf.sprintf "the channel front end at max_batch %d matches the engine" max_batch)
+        (one ^ "\n")
+        (render_channel ~max_batch 4))
+    [ 3; 64 ]
 
 (* And once more over the wire: the same trace through a
    Serve.Transport socket server must come back byte-identical whatever

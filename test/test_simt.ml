@@ -296,15 +296,37 @@ let test_interp_arity_error () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected arity error"
 
+(* Each runtime fault is raised with its exact text: the wrapper names
+   the pc and warp, randint its lane context, and a type error keeps
+   Valops's message. *)
 let test_interp_runtime_errors () =
-  let expect_error src =
-    match run_src src with
-    | exception Simt.Interp.Runtime_error _ -> ()
-    | _ -> Alcotest.failf "expected runtime error"
+  let expect_error name run want =
+    match run () with
+    | exception Simt.Interp.Runtime_error msg -> check Alcotest.string name want msg
+    | _ -> Alcotest.failf "%s: expected a runtime error" name
   in
-  expect_error "global out: int[4];\nkernel k() { out[tid() + 100] = 1; }";
-  expect_error "global out: int[64];\nkernel k() { out[tid()] = 1 / (tid() - tid()); }";
-  expect_error "global out: int[64];\nkernel k() { out[tid()] = randint(0); }"
+  let src s () = run_src s in
+  expect_error "out-of-bounds store"
+    (src "global out: int[4];\nkernel k() { out[tid() + 100] = 1; }")
+    "fault at pc 3 (warp 0): Memsys.write: address 100 out of bounds [0, 4)";
+  expect_error "division by zero"
+    (src "global out: int[64];\nkernel k() { out[tid()] = 1 / (tid() - tid()); }")
+    "division by zero at pc 5 (warp 0)";
+  expect_error "randint(0)"
+    (src "global out: int[64];\nkernel k() { out[tid()] = randint(0); }")
+    "randint bound 0 not positive (warp 0 lane 0 tid 0 pc 2)";
+  (* A float plus an int: the [Add] superop's int/int arm misses and the
+     generic Valops fallback raises. *)
+  let p = B.create_program () in
+  let f = B.create_func p "k" ~params:0 in
+  B.set_kernel p "k";
+  let d = B.fresh_reg f in
+  B.append f f.T.entry (T.Bin (T.Add, d, T.Imm (T.F 1.5), T.Imm (T.I 2)));
+  B.set_term f f.T.entry T.Exit;
+  let dp = Ir.Decoded.decode (Ir.Linear.linearize p) in
+  expect_error "type error"
+    (fun () -> Simt.Interp.run small_config dp ~args:[] ~init_memory:(fun _ -> ()))
+    "type error at pc 0 (warp 0): add applied to 0x1.8p+0, 2"
 
 (* Never terminates: [i] counts down from 0. *)
 let endless_source =
