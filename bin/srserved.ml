@@ -4,14 +4,16 @@
    from --trace FILE, or over a Unix-domain socket with --socket PATH —
    and answers one response line per request line, in order.
    Consecutive `run` lines accumulate into a batch of up to --max-batch
-   requests; a batch flushes (compiles its distinct kernels once
-   through the content-addressed cache, launches across cores, and
-   prints responses) when it fills, when a non-run line arrives, on an
-   empty line, or at EOF. `stats` reports the cache counters, `quit`
-   answers `bye` and exits 0 (over a socket: ends that connection).
-   `shutdown` — or SIGTERM in socket mode — drains gracefully:
-   in-flight work completes and answers, later admissions bounce with
-   `overloaded retry-after=N`, everyone gets `bye`, exit 0. Malformed
+   requests; a batch flushes when it fills, when a non-run line
+   arrives, on an empty line, or at EOF. Its runs are then answered in
+   order on one domain, each resolved through the content-addressed
+   cache (a kernel compiles only on a miss) and launched before the
+   next, and the batch's responses print together. `stats` reports the
+   cache counters, `quit` answers `bye` and exits 0 (over a socket:
+   ends that connection). `shutdown` — or SIGTERM in socket mode —
+   drains gracefully: the launch under way completes and answers, later
+   runs bounce with `overloaded retry-after=N`, everyone gets `bye`,
+   exit 0. Malformed
    lines get `error` responses (usage code) without disturbing the
    stream; the server never dies on bad input.
 
@@ -40,7 +42,7 @@ let main trace socket persist cache_capacity max_batch max_inflight max_issues
   in
   match socket with
   | Some socket_path ->
-    (* SIGTERM drains like a shutdown command: in-flight work answers,
+    (* SIGTERM drains like a shutdown command: the launch under way answers,
        everyone gets bye, exit 0. *)
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle (fun _ -> Serve.Server.drain server));
@@ -61,8 +63,8 @@ let cmd =
     (Cmd.info "srserved"
        ~doc:
          "Batched compile-and-simulate service over stdio: newline-delimited kernel-launch \
-          requests against a content-addressed compile cache, sharded across cores with \
-          deterministic response ordering and explicit overload backpressure")
+          requests against a content-addressed compile cache, answered in order with \
+          explicit overload backpressure")
     Term.(
       const main
       $ Arg.(

@@ -15,8 +15,9 @@
      answers.
 
    Servers are forked children running Serve.Transport.serve; Unix.fork
-   is safe here because Support.Domain_pool spawns and joins its domains
-   per call, so no domain is alive between batches. The faulted pass is
+   is safe here because the server answers on the domain that calls it
+   and never spawns another, so the campaign process never holds a
+   second domain. The faulted pass is
    driven by a Serve.Faults plan whose recorded trace replays exactly —
    on a violation the trace is shrunk (Shrink.shrink_trace) by
    re-forking a server per candidate, so the reported repro is minimal. *)

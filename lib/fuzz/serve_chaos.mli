@@ -26,7 +26,7 @@
       answers.
 
     Servers are forked children ([Unix.fork] + {!Serve.Transport.serve});
-    safe because {!Support.Domain_pool} holds no domains between calls.
+    safe because the server never spawns a domain.
     Everything is keyed by [(seed, chaos_seed)], so a campaign replays
     exactly. *)
 

@@ -6,11 +6,10 @@
     so a digest collision degrades to a miss instead of serving the
     wrong artifact.
 
-    The cache is deliberately sequential: the server resolves every
-    request's artifact through it on the coordinating domain (worker
-    domains only ever receive already-resolved artifacts), which is what
-    makes the hit/miss/eviction counters — exposed in every response —
-    deterministic regardless of [SPECRECON_DOMAINS]. *)
+    The cache is deliberately sequential: the server resolves each
+    request's artifact through it in command order, on the one domain
+    that answers, which is what makes the hit/miss/eviction counters —
+    exposed in every response — a function of the command sequence. *)
 
 type 'a t
 
@@ -29,9 +28,8 @@ val digest : string -> int
     cached. *)
 val find_or_add : 'a t -> key:string -> (unit -> 'a) -> Protocol.cache_status * 'a
 
-(** [mem t ~key] — residency probe with no counter or recency effect
-    (the server uses it to decide which keys to precompile in
-    parallel). *)
+(** [mem t ~key] — residency probe with no counter or recency effect;
+    the server never calls it, tests use it to see what eviction left. *)
 val mem : 'a t -> key:string -> bool
 
 val hits : 'a t -> int

@@ -61,9 +61,11 @@ let events = P.events
 (* [len] is the request line's byte length, so a truncation point can be
    drawn inside it; replayed truncations clamp to it. *)
 let request_fault t ~len =
+  let step = P.next t req_ch in
   match
-    P.consult t req_ch
-      ~draw:(fun rng step ->
+    P.record t
+      (match P.rng t with
+      | Some rng ->
         let x = Sm.float rng in
         if x < trunc_rate then Some (Truncate { step; keep = Sm.int rng (max 1 len) })
         else if x < trunc_rate +. slow_rate then
@@ -71,10 +73,12 @@ let request_fault t ~len =
         else if x < trunc_rate +. slow_rate +. fuel_rate then
           Some (Fuel { step; fuel = 1 + Sm.int rng fuel_max })
         else if x < trunc_rate +. slow_rate +. fuel_rate +. abort_rate then Some (Abort { step })
-        else None)
-      ~replay:(function
-        | Truncate { step; keep } -> Some (Truncate { step; keep = min keep (max 0 (len - 1)) })
-        | ev -> Some ev)
+        else None
+      | None -> (
+        match P.lookup t req_ch step with
+        | Some (Truncate { step; keep }) ->
+          Some (Truncate { step; keep = min keep (max 0 (len - 1)) })
+        | fault -> fault))
   with
   | Some (Truncate { keep; _ }) -> Truncated keep
   | Some (Slow { chunk; _ }) -> Slowed chunk
@@ -83,9 +87,11 @@ let request_fault t ~len =
   | Some (Corrupt _) | None -> Clean
 
 let file_fault t =
-  P.consult t file_ch
-    ~draw:(fun rng step -> if Sm.float rng < corrupt_rate then Some (Corrupt { step }) else None)
-    ~replay:Option.some
+  let step = P.next t file_ch in
+  P.record t
+    (match P.rng t with
+    | Some rng -> if Sm.float rng < corrupt_rate then Some (Corrupt { step }) else None
+    | None -> P.lookup t file_ch step)
   <> None
 
 let fields = function

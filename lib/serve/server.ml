@@ -1,23 +1,22 @@
 (* The srserved engine.
 
-   A batch segment flows through three phases:
+   Commands are answered in one in-order pass on the calling domain: a
+   run is admitted, resolved and launched before the next command is
+   looked at.
 
-     1. admission  — sequential; everything beyond [max_inflight] gets
-                     an Overloaded response and touches nothing;
-     2. compile    — the segment's distinct uncached keys compile in
-                     parallel (Support.Domain_pool), then every admitted
-                     request resolves through the cache sequentially in
-                     request order, fixing the hit/miss/eviction
-                     counters each response will echo;
-     3. launch     — compiled requests execute in parallel; the pool
-                     reassembles results by index, so the response
-                     stream is byte-identical whatever the domain count.
+     1. admission  — a draining server bounces every run with its
+                     back-off hint; a live one bounces the runs past
+                     [max_inflight] in their segment. A bounced run
+                     touches nothing;
+     2. resolution — [Cache.find_or_add]; a miss loads the artifact from
+                     the persist store, or compiles it and writes it
+                     through;
+     3. launch     — builds its own Memsys and never touches the cache.
 
-   The cache is only ever touched from the coordinating domain (phases
-   1–2); workers receive resolved artifacts and build their own Memsys.
-   That split is the whole determinism argument — there is no locked
-   shared state for domains to race on, matching the repo's
-   Domain_pool contract everywhere else. *)
+   Only resolution touches the cache and the store, and it runs in
+   command order, so the counters a response echoes and a [stats] reply
+   reports depend on the command sequence alone, never on how the front
+   end batched it. *)
 
 module P = Protocol
 module T = Ir.Types
@@ -150,22 +149,26 @@ let error_response rid exn =
     P.Error { rid; code = Core.Cli.exit_code outcome; kind; msg }
   | None -> raise exn (* a server bug, not a request failure: crash loudly *)
 
-(* ---- submit ---- *)
-
-(* Per-request state as a segment moves through the phases. *)
-type slot =
-  | Done of P.response (* overloaded, or failed in an earlier phase *)
-  | Compiled of P.request * Core.Compile.compiled * P.cache_status * int * int * int
-    (* artifact + the cache status/counters this response will echo *)
+(* ---- answering ---- *)
 
 let init_of_request (r : P.request) =
   if String.equal r.P.init "data" then data_init else fun _ _ -> ()
 
-let launch_slot t = function
-  | Done r -> r
-  | Compiled (req, compiled, _, _, _, _)
-    when t.race_gate && compiled.Core.Compile.race_findings <> [] ->
-    let fs = compiled.Core.Compile.race_findings in
+let resolve t (r : P.request) =
+  let key = cache_key r in
+  Cache.find_or_add t.cache ~key (fun () ->
+      match Option.bind t.persist (fun p -> Persist.load p ~key) with
+      | Some compiled -> compiled
+      | None ->
+        let compiled = Core.Compile.compile (options_of_request r) ~source:r.P.source in
+        (* Freshly compiled (not exhumed): write it through so a
+           restarted server can answer this key warm. *)
+        Option.iter (fun p -> Persist.store p ~key compiled) t.persist;
+        compiled)
+
+let launch t (req : P.request) cache (compiled : Core.Compile.compiled) =
+  match compiled.race_findings with
+  | _ :: _ as fs when t.race_gate ->
     P.Error
       {
         rid = req.P.id;
@@ -175,7 +178,7 @@ let launch_slot t = function
           Printf.sprintf "%d static race finding(s); first: %s" (List.length fs)
             (Format.asprintf "%a" Analysis.Race_safety.pp_machine (List.hd fs));
       }
-  | Compiled (req, compiled, cache, hits, misses, evictions) -> (
+  | _ -> (
     try
       let config = config_of_request t req in
       let outcome =
@@ -187,9 +190,9 @@ let launch_slot t = function
         {
           P.rid = req.P.id;
           cache;
-          hits;
-          misses;
-          evictions;
+          hits = cache_hits t;
+          misses = cache_misses t;
+          evictions = cache_evictions t;
           cycles = m.Simt.Metrics.cycles;
           issues = m.Simt.Metrics.issues;
           active = m.Simt.Metrics.active_sum;
@@ -203,162 +206,58 @@ let launch_slot t = function
       P.Deadline { rid = req.P.id; fuel = fuel_of_request t req }
     | exn -> error_response req.P.id exn)
 
-let run_segment t (requests : P.request list) =
-  (* Phase 1: admission. A draining server admits nothing and attaches
-     its back-off hint; a live one bounces only the overflow. *)
-  let slots =
-    List.mapi
-      (fun i r ->
-        if t.draining then
-          Either.Right (P.Overloaded { rid = r.P.id; retry_after = Some t.retry_after })
-        else if i < t.max_inflight then Either.Left r
-        else Either.Right (P.Overloaded { rid = r.P.id; retry_after = None }))
-      requests
-  in
-  (* Phase 2a: resolve what can be had without compiling. Persist loads
-     happen here, sequentially in request order on the coordinating
-     domain, so the phits/pcorrupt counters are deterministic; a
-     persisted artifact skips the parallel compile but still commits to
-     the in-memory cache as a Miss in phase 2b — the response stream is
-     byte-identical whether the artifact was compiled or exhumed. *)
-  let persisted = Hashtbl.create 8 in
-  let missing = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Either.Right _ -> ()
-      | Either.Left r ->
-        let key = cache_key r in
-        if
-          (not (Cache.mem t.cache ~key))
-          && (not (Hashtbl.mem persisted key))
-          && not (Hashtbl.mem missing key)
-        then begin
-          match Option.bind t.persist (fun p -> Persist.load p ~key) with
-          | Some compiled -> Hashtbl.replace persisted key (compiled : Core.Compile.compiled)
-          | None -> Hashtbl.replace missing key (options_of_request r, r.P.source)
-        end)
-    slots;
-  let missing_keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) missing []) in
-  let precompiled = Hashtbl.create 8 in
-  List.iter2
-    (fun key result -> Hashtbl.replace precompiled key result)
-    missing_keys
-    (Support.Domain_pool.map
-       (fun key ->
-         let options, source = Hashtbl.find missing key in
-         match Core.Compile.compile options ~source with
-         | compiled -> Ok compiled
-         | exception exn -> Error exn)
-       missing_keys);
-  (* Phase 2b: resolve every request through the cache sequentially in
-     request order — counters become deterministic here. *)
-  let resolved =
-    List.map
-      (function
-        | Either.Right resp -> Done resp
-        | Either.Left r -> (
-          let key = cache_key r in
-          let build () =
-            match Hashtbl.find_opt persisted key with
-            | Some compiled -> compiled
-            | None -> (
-              let compiled =
-                match Hashtbl.find_opt precompiled key with
-                | Some (Ok compiled) -> compiled
-                | Some (Error exn) -> raise exn
-                | None -> Core.Compile.compile (options_of_request r) ~source:r.P.source
-              in
-              (* Freshly compiled (not exhumed): write it through so a
-                 restarted server can answer this key warm. *)
-              Option.iter (fun p -> Persist.store p ~key compiled) t.persist;
-              compiled)
-          in
-          match Cache.find_or_add t.cache ~key build with
-          | cache, compiled ->
-            Compiled
-              ( r,
-                compiled,
-                cache,
-                Cache.hits t.cache,
-                Cache.misses t.cache,
-                Cache.evictions t.cache )
-          | exception exn -> Done (error_response r.P.id exn)))
-      slots
-  in
-  (* Phase 3: launch in parallel; the pool's index-ordered reassembly is
-     what keeps the response stream deterministic. *)
-  let responses = Support.Domain_pool.map (launch_slot t) resolved in
-  t.served <-
-    t.served
-    + List.length
-        (List.filter (function P.Overloaded _ -> false | _ -> true) responses);
-  responses
-
-let submit t commands =
-  (* Split into maximal Run segments; Stats/Quit/Shutdown are sequential
-     markers whose responses observe every launch submitted before
-     them. *)
-  let flush pending acc =
-    if pending = [] then acc else List.rev_append (run_segment t (List.rev pending)) acc
-  in
-  let rec go pending acc = function
-    | [] -> List.rev (flush pending acc)
-    | P.Run r :: rest -> go (r :: pending) acc rest
-    | P.Stats id :: rest ->
-      let acc = flush pending acc in
-      let reply =
-        P.Stats_reply
-          {
-            rid = id;
-            hits = cache_hits t;
-            misses = cache_misses t;
-            evictions = cache_evictions t;
-            entries = cache_entries t;
-            served = t.served;
-            phits = persist_hits t;
-            pcorrupt = persist_corrupt t;
-          }
+(* [position] counts the runs of the current segment: those since the
+   last stats, quit or shutdown. Everything after a shutdown sees a
+   draining server. *)
+let answer t position = function
+  | P.Run r ->
+    let i = !position in
+    position := i + 1;
+    if t.draining then P.Overloaded { rid = r.P.id; retry_after = Some t.retry_after }
+    else if i >= t.max_inflight then P.Overloaded { rid = r.P.id; retry_after = None }
+    else begin
+      let response =
+        match resolve t r with
+        | cache, compiled -> launch t r cache compiled
+        | exception exn -> error_response r.P.id exn
       in
-      go [] (reply :: acc) rest
-    | P.Quit :: rest ->
-      let acc = flush pending acc in
-      go [] (P.Bye :: acc) rest
-    | P.Shutdown :: rest ->
-      (* Everything submitted before the shutdown completes and is
-         answered; everything after it (this batch included) sees a
-         draining server. *)
-      let acc = flush pending acc in
-      drain t;
-      go [] (P.Bye :: acc) rest
-  in
-  go [] [] commands
+      t.served <- t.served + 1;
+      response
+    end
+  | P.Stats rid ->
+    position := 0;
+    P.Stats_reply
+      {
+        rid;
+        hits = cache_hits t;
+        misses = cache_misses t;
+        evictions = cache_evictions t;
+        entries = cache_entries t;
+        served = t.served;
+        phits = persist_hits t;
+        pcorrupt = persist_corrupt t;
+      }
+  | P.Quit ->
+    position := 0;
+    P.Bye
+  | P.Shutdown ->
+    position := 0;
+    drain t;
+    P.Bye
+
+let submit t commands = List.map (answer t (ref 0)) commands
 
 let submit_lines t lines =
-  (* Malformed lines become error responses inline (usage code, id -1:
-     the id, if any, was part of what failed to parse) — the server
-     never dies on bad input. *)
-  let parsed =
-    List.map
-      (fun line ->
-        match P.parse_command line with
-        | Ok cmd -> Ok cmd
+  (* A malformed line answers in place (usage code, id -1: the id, if
+     any, was part of what failed to parse) and does not end the
+     segment — the server never dies on bad input. *)
+  let position = ref 0 in
+  List.map
+    (fun line ->
+      P.print_response
+        (match P.parse_command line with
+        | Ok cmd -> answer t position cmd
         | Error msg ->
-          Error
-            (P.Error
-               { rid = -1;
-                 code = Core.Cli.exit_code (Core.Cli.Usage msg);
-                 kind = "malformed";
-                 msg }))
-      lines
-  in
-  let responses = submit t (List.filter_map Result.to_option parsed) in
-  (* Reinterleave: parse failures answered in place, everything else in
-     submission order. *)
-  let rec weave parsed responses acc =
-    match (parsed, responses) with
-    | [], [] -> List.rev acc
-    | Error resp :: rest, _ -> weave rest responses (resp :: acc)
-    | Ok _ :: rest, resp :: more -> weave rest more (resp :: acc)
-    | Ok _ :: _, [] | [], _ :: _ -> assert false
-  in
-  List.map P.print_response (weave parsed responses [])
+          P.Error
+            { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind = "malformed"; msg }))
+    lines

@@ -4,20 +4,19 @@
     A server owns one {!Cache.t} mapping (source, compile options) to
     the {!Core.Compile.compiled} artifact — in particular its immutable
     {!Ir.Decoded.t}, so a kernel submitted by any number of clients
-    decodes once. {!submit} takes a batch of protocol commands and
-    returns exactly one response per command, in command order:
+    decodes once. {!submit} answers a list of protocol commands with
+    exactly one response per command, in command order, in one pass on
+    the calling domain:
 
-    - compilation of the batch's distinct uncached kernels fans out
-      across cores through {!Support.Domain_pool}, then artifacts are
-      committed to the cache {e sequentially in request order}, so the
-      hit/miss/eviction counters echoed in each response are
-      deterministic whatever [SPECRECON_DOMAINS] says;
-    - launches then fan out through the pool too, reassembled by
-      request index — the response stream is byte-identical across
-      domain counts;
-    - backpressure is explicit: a batch segment admits at most
-      [max_inflight] launches, and every request beyond that bound gets
-      an [overloaded] response instead of queueing unboundedly (it was
+    - each run is admitted, resolved through the cache and launched
+      before the next command is looked at, so the hit/miss/eviction
+      counters a response echoes, and everything a [stats] reply
+      reports, depend on the command sequence alone, never on how a
+      front end split it into batches;
+    - backpressure is explicit: a segment (the runs between two other
+      commands; a malformed line does not end one) admits at most
+      [max_inflight] launches, and every run beyond that bound gets an
+      [overloaded] response instead of queueing unboundedly (it was
       never admitted; the client retries).
 
     Failures never tear the server down: per-request errors map through
@@ -32,14 +31,14 @@
     are only visible in [stats] replies, as [phits]/[pcorrupt]).
 
     A {e draining} server ({!drain}, or a [shutdown] command) still
-    answers everything already submitted, but admits nothing new:
-    subsequent runs get [overloaded] with a [retry-after] back-off
-    hint. *)
+    answers every command, but admits no run: the launch under way
+    completes, and every later run gets [overloaded] with a
+    [retry-after] back-off hint. *)
 
 type t
 
 (** [create ()] — [cache_capacity] entries ([0] disables caching),
-    [max_inflight] admitted launches per batch segment, [max_issues]
+    [max_inflight] admitted launches per segment, [max_issues]
     the per-launch runaway budget, [fuel] the default per-launch
     deadline budget ([0] = unlimited; requests override it with
     [deadline=]), [persist_dir] the on-disk artifact store to write
@@ -76,9 +75,9 @@ val outcome_kind_and_message : Core.Cli.outcome -> string * string
 (** One response per command, in order. *)
 val submit : t -> Protocol.command list -> Protocol.response list
 
-(** [submit_lines t lines] — parse, submit, and print: the stdio loop's
-    core, one response line per request line (malformed lines get
-    [error] responses with the usage code). *)
+(** [submit_lines t lines] — parse, answer and print each line in turn:
+    the front ends' core, one response line per request line (malformed
+    lines get [error] responses with the usage code). *)
 val submit_lines : t -> string list -> string list
 
 (** Cumulative launches completed (ok or error; overloaded and stats
@@ -93,17 +92,19 @@ val cache_evictions : t -> int
 
 val cache_entries : t -> int
 
-(** Compiles satisfied from the persistent store (0 without
-    [persist_dir]). *)
+(** Artifacts loaded from the persistent store: one for each cache miss
+    the store answers (0 without [persist_dir]). *)
 val persist_hits : t -> int
 
-(** Persisted entries rejected by verification and degraded to misses
-    (0 without [persist_dir]). *)
+(** Store loads that found an entry but rejected it on verification and
+    compiled instead: one for each such cache miss (0 without
+    [persist_dir]). *)
 val persist_corrupt : t -> int
 
-(** [drain t] — stop admitting new launches: every subsequent run
-    request is answered [overloaded retry-after=N]. Stats/quit still
-    answer; already-submitted work completes. Idempotent. *)
+(** [drain t] — stop admitting launches: every later run, the rest of
+    the current segment included, is answered [overloaded
+    retry-after=N]. Stats/quit still answer; the launch under way
+    completes. Idempotent. *)
 val drain : t -> unit
 
 val draining : t -> bool

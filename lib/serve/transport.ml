@@ -21,9 +21,10 @@
      connection only; nobody else's stream is disturbed.
 
    [quit] ends one connection; [shutdown] (or {!Server.drain}, e.g.
-   from a SIGTERM handler) drains the whole service: in-flight batches
-   complete and answer, every other connection's pending work is
-   answered by the draining server ([overloaded retry-after=N]),
+   from a SIGTERM handler) drains the whole service: the launch under
+   way completes and answers, every run after it — the rest of its
+   batch and every other connection's pending work — is answered by
+   the draining server ([overloaded retry-after=N]),
    everyone gets [bye], the socket file is unlinked, and [serve]
    returns so the caller can exit 0. *)
 

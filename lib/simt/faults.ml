@@ -39,17 +39,23 @@ let replay events = P.replay ~channels:4 ~key events
 
 let events = P.events
 
+(* Each decision point builds nothing unless its event fires: the
+   interpreter consults [disturb] on every issue and
+   [mem_spike]/[io_delay] on every memory access. *)
 let pick t ~warp ~k ~chosen =
+  let step = P.next t pick_ch in
   match
-    P.consult t pick_ch
-      ~draw:(fun rng step ->
+    P.record t
+      (match P.rng t with
+      | Some rng ->
         if k >= 2 && Sm.float rng < pick_rate then
           let index = Sm.int rng k in
           if index <> chosen then Some (Pick { step; warp; index }) else None
-        else None)
-      ~replay:(function
-        | Pick { step; index; _ } when index < k -> Some (Pick { step; warp; index })
-        | _ -> None)
+        else None
+      | None -> (
+        match P.lookup t pick_ch step with
+        | Some (Pick { index; _ }) when index < k -> Some (Pick { step; warp; index })
+        | _ -> None))
   with
   | Some (Pick { index; _ }) -> index
   | _ -> chosen
@@ -59,42 +65,53 @@ let pick t ~warp ~k ~chosen =
    response, and keeping the streams apart lets a replay reproduce
    either without the other. *)
 let delay channel ~rate ~max make t ~warp =
+  let step = P.next t channel in
   match
-    P.consult t channel
-      ~draw:(fun rng step ->
-        if Sm.float rng < rate then Some (make step warp (1 + Sm.int rng max)) else None)
-      ~replay:(function
-        | Mem_spike { step; extra; _ } | Io_delay { step; extra; _ } -> Some (make step warp extra)
-        | _ -> None)
+    P.record t
+      (match P.rng t with
+      | Some rng ->
+        if Sm.float rng < rate then Some (make step warp (1 + Sm.int rng max)) else None
+      | None -> (
+        match P.lookup t channel step with
+        | Some (Mem_spike { extra; _ } | Io_delay { extra; _ }) -> Some (make step warp extra)
+        | _ -> None))
   with
   | Some (Mem_spike { extra; _ } | Io_delay { extra; _ }) -> extra
   | _ -> 0
 
-let mem_spike =
-  delay mem_ch ~rate:mem_rate ~max:mem_spike_max (fun step warp extra ->
-      Mem_spike { step; warp; extra })
+(* Eta-expanded: a partial application of [delay] would build a curried
+   closure on every call. *)
+let mem_spike t ~warp =
+  delay mem_ch ~rate:mem_rate ~max:mem_spike_max
+    (fun step warp extra -> Mem_spike { step; warp; extra })
+    t ~warp
 
-let io_delay =
-  delay io_ch ~rate:io_rate ~max:io_max (fun step warp extra -> Io_delay { step; warp; extra })
+let io_delay t ~warp =
+  delay io_ch ~rate:io_rate ~max:io_max
+    (fun step warp extra -> Io_delay { step; warp; extra })
+    t ~warp
 
-let disturb t ~warp ~waiting_slots =
+let disturb t ~warp ~waiting_slots w =
+  let step = P.next t disturb_ch in
   match
-    P.consult t disturb_ch
-      ~draw:(fun rng step ->
+    P.record t
+      (match P.rng t with
+      | Some rng ->
         let x = Sm.float rng in
         if x < release_rate then
-          match waiting_slots with
+          match waiting_slots w with
           | [] -> None
           | slots ->
             Some (Release { step; warp; slot = List.nth slots (Sm.int rng (List.length slots)) })
         else if x < release_rate +. stall_rate then
           Some (Stall { step; warp; cycles = 1 + Sm.int rng stall_max })
-        else None)
-      ~replay:(function
-        | Release { step; slot; _ } when List.mem slot waiting_slots ->
+        else None
+      | None -> (
+        match P.lookup t disturb_ch step with
+        | Some (Release { slot; _ }) when List.mem slot (waiting_slots w) ->
           Some (Release { step; warp; slot })
-        | Stall { step; cycles; _ } -> Some (Stall { step; warp; cycles })
-        | _ -> None)
+        | Some (Stall { cycles; _ }) -> Some (Stall { step; warp; cycles })
+        | _ -> None))
   with
   | Some (Release { slot; _ }) -> Some (D_release slot)
   | Some (Stall { cycles; _ }) -> Some (D_stall cycles)

@@ -63,10 +63,13 @@ val mem_spike : t -> warp:int -> int
     without the other. *)
 val io_delay : t -> warp:int -> int
 
-(** [disturb t ~warp ~waiting_slots] — per-issue disturbance;
-    [waiting_slots] lists the warp's barrier slots that currently have
-    blocked lanes (candidates for a spurious release). *)
-val disturb : t -> warp:int -> waiting_slots:int list -> disturbance option
+(** [disturb t ~warp ~waiting_slots w] — per-issue disturbance;
+    [waiting_slots w] lists the warp's barrier slots that currently have
+    blocked lanes (candidates for a spurious release). It is called only
+    when a release is drawn or replayed, so an issue that draws no event
+    builds no list. *)
+val disturb :
+  t -> warp:int -> waiting_slots:('w -> int list) -> 'w -> disturbance option
 
 (** One [fault KIND step=N warp=N FIELD=N] line per event. *)
 val trace_to_string : event list -> string

@@ -724,7 +724,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     match faults with
     | None -> ()
     | Some f -> (
-      match Faults.disturb f ~warp:w.wid ~waiting_slots:(waiting_slots w) with
+      match Faults.disturb f ~warp:w.wid ~waiting_slots w with
       | None -> ()
       | Some (Faults.D_release b) -> (
         match Barrier_unit.force_release w.barriers b with

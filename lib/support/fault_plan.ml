@@ -1,27 +1,44 @@
-type 'ev source = Generate of Splitmix.t | Replay of (int * int, 'ev) Hashtbl.t
+type 'ev t = {
+  rng : Splitmix.t option; (* a generative plan's stream; None when replaying *)
+  recorded : (int, 'ev) Hashtbl.t array; (* a replay plan's events, by channel then step *)
+  steps : int array;
+  mutable applied_rev : 'ev list;
+}
 
-type 'ev t = { source : 'ev source; steps : int array; mutable applied_rev : 'ev list }
+let make ~channels rng =
+  {
+    rng;
+    recorded = Array.init channels (fun _ -> Hashtbl.create 16);
+    steps = Array.make channels 0;
+    applied_rev = [];
+  }
 
-let generate ~channels rng =
-  { source = Generate rng; steps = Array.make channels 0; applied_rev = [] }
+let generate ~channels rng = make ~channels (Some rng)
 
 let replay ~channels ~key events =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun ev -> Hashtbl.replace tbl (key ev) ev) events;
-  { source = Replay tbl; steps = Array.make channels 0; applied_rev = [] }
+  let t = make ~channels None in
+  List.iter
+    (fun ev ->
+      let channel, step = key ev in
+      Hashtbl.replace t.recorded.(channel) step ev)
+    events;
+  t
 
 let events t = List.rev t.applied_rev
 
-let consult t channel ~draw ~replay =
+let next t channel =
   let step = t.steps.(channel) in
   t.steps.(channel) <- step + 1;
-  let applied =
-    match t.source with
-    | Generate rng -> draw rng step
-    | Replay tbl -> Option.bind (Hashtbl.find_opt tbl (channel, step)) replay
-  in
-  Option.iter (fun ev -> t.applied_rev <- ev :: t.applied_rev) applied;
-  applied
+  step
+
+let rng t = t.rng
+let lookup t channel step = Hashtbl.find_opt t.recorded.(channel) step
+
+let record t = function
+  | Some ev as applied ->
+    t.applied_rev <- ev :: t.applied_rev;
+    applied
+  | None -> None
 
 let trace_to_string fields events =
   let line ev =

@@ -6,8 +6,8 @@
     generative plan draws each decision from one SplitMix stream; a
     replay plan looks the decision up by [(channel, step)] in a recorded
     trace, so re-applying the recorded events at the same consultations
-    reproduces a deterministic run exactly. Either way every {e applied}
-    event is recorded, in order.
+    reproduces a deterministic run exactly. Either way the injector
+    records every {e applied} event, in order.
 
     A trace prints one event per line as [fault KIND NAME=INT ...], and
     parses back. The injector supplies its event type, its channel
@@ -27,17 +27,26 @@ val replay : channels:int -> key:('ev -> int * int) -> 'ev list -> 'ev t
 (** Events applied so far, in application order. *)
 val events : 'ev t -> 'ev list
 
-(** [consult t channel ~draw ~replay] is one decision point on [channel]
-    at its next step. A generative plan calls [draw rng step]; a replay
-    plan calls [replay ev] on the event recorded at [(channel, step)], if
-    there is one. A [Some ev] result is recorded as applied and returned;
-    [None] leaves the decision point alone. *)
-val consult :
-  'ev t ->
-  int ->
-  draw:(Splitmix.t -> int -> 'ev option) ->
-  replay:('ev -> 'ev option) ->
-  'ev option
+(** One decision point on a channel is [next], then either a draw from
+    [rng] (a generative plan) or a [lookup] (a replay plan), then
+    [record] on what fired. None of these builds anything, so a decision
+    point that fires no event allocates nothing beyond its own draws:
+    the simulator consults one on every issue. *)
+
+(** [next t channel] — the step index of [channel]'s next decision
+    point; advances its counter. *)
+val next : 'ev t -> int -> int
+
+(** The stream a generative plan draws from; [None] for a replay plan. *)
+val rng : 'ev t -> Splitmix.t option
+
+(** [lookup t channel step] — the event a replay plan recorded for that
+    decision point ([None] for a generative plan). *)
+val lookup : 'ev t -> int -> int -> 'ev option
+
+(** [record t fired] records [fired]'s event, if any, as applied and
+    returns [fired]. *)
+val record : 'ev t -> 'ev option -> 'ev option
 
 (** [trace_to_string fields events] prints one line per event, where
     [fields ev] is its kind and its named integer fields in order. *)

@@ -13,11 +13,10 @@ let test_funnel_domain_independence () =
   Alcotest.(check string) "byte-identical under 1 vs 4 domains" (render_funnel 1)
     (render_funnel 4)
 
-(* The same contract for the srserved engine: its batch phases (parallel
-   precompile, sequential cache commit, parallel launch) must answer a
-   mixed trace — repeated kernels, distinct kernels, failures, stats,
-   malformed lines — with a byte-identical response stream whatever
-   SPECRECON_DOMAINS says. *)
+(* The srserved engine answers one command at a time on the calling
+   domain, so the determinism it owes is to its front ends: a mixed
+   trace — repeated kernels, distinct kernels, failures, stats,
+   malformed lines — gets the same response stream however it arrives. *)
 let serve_trace =
   let module P = Serve.Protocol in
   let registry =
@@ -49,98 +48,85 @@ let serve_trace =
   in
   registry @ fuzzed @ failing @ [ P.print_command (P.Stats 300) ]
 
-let render_serve domains =
-  Test_support.with_domains domains (fun () ->
-      let server = Serve.Server.create ~cache_capacity:32 () in
-      String.concat "\n" (Serve.Server.submit_lines server serve_trace))
+let render_serve () =
+  let server = Serve.Server.create ~cache_capacity:32 () in
+  String.concat "\n" (Serve.Server.submit_lines server serve_trace)
 
 (* The channel front end (srserved over stdin or --trace) reads the
    same trace as request lines. Batching must not show in the answers:
-   they match the engine's, one line each. A cap of 3 flushes batches
-   as they fill; srserved's default cap, 64, holds every run line until
-   the trace's first other line flushes them. *)
-let render_channel ~max_batch domains =
-  Test_support.with_domains domains (fun () ->
-      let input = Filename.temp_file "srchannel" ".in" in
-      let output = Filename.temp_file "srchannel" ".out" in
-      Fun.protect ~finally:(fun () ->
-          Sys.remove input;
-          Sys.remove output)
-      @@ fun () ->
-      Out_channel.with_open_text input (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) serve_trace);
-      In_channel.with_open_text input (fun ic ->
-          Out_channel.with_open_text output (fun oc ->
-              Serve.Transport.serve_channel ~max_batch
-                (Serve.Server.create ~cache_capacity:32 ())
-                ic oc));
-      In_channel.with_open_text output In_channel.input_all)
+   they match the engine's, one line each. A cap of 1 makes every run
+   its own segment, a cap of 3 flushes batches as they fill, and
+   srserved's default cap, 64, holds every run line until the trace's
+   first other line flushes them. *)
+let render_channel ~max_batch =
+  let input = Filename.temp_file "srchannel" ".in" in
+  let output = Filename.temp_file "srchannel" ".out" in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+  @@ fun () ->
+  Out_channel.with_open_text input (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) serve_trace);
+  In_channel.with_open_text input (fun ic ->
+      Out_channel.with_open_text output (fun oc ->
+          Serve.Transport.serve_channel ~max_batch (Serve.Server.create ~cache_capacity:32 ()) ic
+            oc));
+  In_channel.with_open_text output In_channel.input_all
 
-let test_serve_domain_independence () =
-  let one = render_serve 1 in
-  Alcotest.(check string) "byte-identical response stream under 1 vs 4 domains" one
-    (render_serve 4);
+let test_serve_front_ends () =
+  let engine = render_serve () in
   List.iter
     (fun max_batch ->
       Alcotest.(check string)
         (Printf.sprintf "the channel front end at max_batch %d matches the engine" max_batch)
-        (one ^ "\n")
-        (render_channel ~max_batch 4))
-    [ 3; 64 ]
+        (engine ^ "\n") (render_channel ~max_batch))
+    [ 1; 3; 64 ]
 
 (* And once more over the wire: the same trace through a
-   Serve.Transport socket server must come back byte-identical whatever
-   SPECRECON_DOMAINS says — the select-loop transport adds no
-   nondeterminism of its own on top of the engine's ordered batch
-   phases. A second connection then shares the warm server: its first
-   run must hit the cache the first connection filled. The server runs
-   in a spawned domain rather than a forked child: OCaml 5 forbids
-   Unix.fork in any process that ever created a domain, and the sibling
-   tests here force 4-domain pools (the forked lifecycle — exit 0 on
-   drain, kill -9 restarts — is covered by srfuzz --serve-chaos, whose
-   parent never touches Domain_pool before forking). *)
-let render_socket domains =
-  Test_support.with_domains domains (fun () ->
-      let dir = Filename.temp_file "srsockdet" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o700;
-      Fun.protect ~finally:(fun () ->
-          Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-          Unix.rmdir dir)
-      @@ fun () ->
-      let socket_path = Filename.concat dir "det.sock" in
-      let server_domain =
-        Domain.spawn (fun () ->
-            Serve.Transport.serve (Serve.Server.create ~cache_capacity:32 ()) ~socket_path ())
-      in
-      let stream =
-        let c = Serve.Client.connect socket_path in
-        let responses = Serve.Client.round_trip c serve_trace in
-        let c2 = Serve.Client.connect socket_path in
-        (match Serve.Protocol.parse_response (Serve.Client.rpc c2 (List.hd serve_trace)) with
-        | Ok (Serve.Protocol.Ok_run r) ->
-          Alcotest.(check bool) "a second connection hits the shared cache" true
-            (r.Serve.Protocol.cache = Serve.Protocol.Hit)
-        | _ -> Alcotest.fail "a second connection's run got no ok answer");
-        Serve.Client.close c2;
-        let bye =
-          Serve.Client.round_trip c [ Serve.Protocol.print_command Serve.Protocol.Shutdown ]
-        in
-        Serve.Client.close c;
-        String.concat "\n" (responses @ bye)
-      in
-      (* shutdown drains the whole service, so serve returns. *)
-      Domain.join server_domain;
-      stream)
+   Serve.Transport socket server must come back byte-identical to the
+   engine's answers — the select-loop transport adds no nondeterminism
+   of its own. A second connection then shares the warm server: its
+   first run must hit the cache the first connection filled. The server
+   runs in a spawned domain rather than a forked child: OCaml 5 forbids
+   Unix.fork in any process that ever created a domain, and the funnel
+   case in this binary spawns domain pools (the forked lifecycle — exit
+   0 on drain, kill -9 restarts — is covered by srfuzz --serve-chaos). *)
+let render_socket () =
+  let dir = Filename.temp_file "srsockdet" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let socket_path = Filename.concat dir "det.sock" in
+  let server_domain =
+    Domain.spawn (fun () ->
+        Serve.Transport.serve (Serve.Server.create ~cache_capacity:32 ()) ~socket_path ())
+  in
+  let stream =
+    let c = Serve.Client.connect socket_path in
+    let responses = Serve.Client.round_trip c serve_trace in
+    let c2 = Serve.Client.connect socket_path in
+    (match Serve.Protocol.parse_response (Serve.Client.rpc c2 (List.hd serve_trace)) with
+    | Ok (Serve.Protocol.Ok_run r) ->
+      Alcotest.(check bool) "a second connection hits the shared cache" true
+        (r.Serve.Protocol.cache = Serve.Protocol.Hit)
+    | _ -> Alcotest.fail "a second connection's run got no ok answer");
+    Serve.Client.close c2;
+    let bye = Serve.Client.round_trip c [ Serve.Protocol.print_command Serve.Protocol.Shutdown ] in
+    Serve.Client.close c;
+    String.concat "\n" (responses @ bye)
+  in
+  (* shutdown drains the whole service, so serve returns. *)
+  Domain.join server_domain;
+  stream
 
-let test_socket_domain_independence () =
-  let one = render_socket 1 in
-  Alcotest.(check string) "byte-identical socket stream under 1 vs 4 domains" one
-    (render_socket 4);
-  (* The transport also matches the in-process engine answer-for-answer
-     (plus the trailing bye the socket's shutdown earns). *)
-  Alcotest.(check string) "socket stream matches the stdio engine"
-    (render_serve 1 ^ "\nbye") one
+let test_socket_matches_engine () =
+  (* The transport matches the in-process engine answer for answer,
+     plus the trailing bye the socket's shutdown earns. *)
+  Alcotest.(check string) "socket stream matches the engine" (render_serve () ^ "\nbye")
+    (render_socket ())
 
 let tests =
   [
@@ -148,9 +134,9 @@ let tests =
       [
         Alcotest.test_case "corpus funnel under 1 vs 4 domains" `Slow
           test_funnel_domain_independence;
-        Alcotest.test_case "srserved response stream under 1 vs 4 domains" `Slow
-          test_serve_domain_independence;
-        Alcotest.test_case "socket transport stream under 1 vs 4 domains" `Slow
-          test_socket_domain_independence;
+        Alcotest.test_case "srserved response stream across front-end batch caps" `Slow
+          test_serve_front_ends;
+        Alcotest.test_case "socket transport stream matches the engine" `Slow
+          test_socket_matches_engine;
       ] );
   ]

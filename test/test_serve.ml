@@ -449,6 +449,30 @@ let test_server_persist_restart () =
       check_bool "corruption detected" true (Server.persist_corrupt hurt > 0);
       check_int "corrupt entries served no hits" 0 (Server.persist_hits hurt))
 
+(* Batching must not show in [stats] either. Each cache miss the store
+   answers is one load, so a trace answered in one batch and the same
+   trace answered line by line report the same phits. A first server
+   warms the store; capacities 0 and 1 then force [a]'s second run to
+   miss again. *)
+let test_stats_batch_independent () =
+  with_temp_dir (fun dir ->
+      let run id source = P.print_command (P.Run (P.make_request ~id ~warps:1 ~source ())) in
+      let trace =
+        [ run 0 ok_source; run 1 other_source; run 2 ok_source; P.print_command (P.Stats 3) ]
+      in
+      ignore (Server.submit_lines (Server.create ~cache_capacity:8 ~persist_dir:dir ()) trace);
+      List.iter
+        (fun cache_capacity ->
+          let batched =
+            Server.submit_lines (Server.create ~cache_capacity ~persist_dir:dir ()) trace
+          in
+          let server = Server.create ~cache_capacity ~persist_dir:dir () in
+          let by_line = List.concat_map (fun line -> Server.submit_lines server [ line ]) trace in
+          check (Alcotest.list Alcotest.string)
+            (Printf.sprintf "capacity %d: one batch answers as line by line" cache_capacity)
+            batched by_line)
+        [ 0; 1 ])
+
 let loop_source =
   "global out: int[64];\n\n\
    kernel k() {\n\
@@ -648,5 +672,7 @@ let tests =
         Alcotest.test_case "fuel exhaustion is exit 9 one-shot" `Quick test_deadline_exit_code;
         Alcotest.test_case "shutdown drains then bounces with retry-after" `Quick
           test_server_drain;
+        Alcotest.test_case "stats do not depend on batching" `Quick
+          test_stats_batch_independent;
       ] );
   ]
