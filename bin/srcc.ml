@@ -21,14 +21,13 @@ type dump =
   | Dump_candidates
   | Dump_source
 
-let run path mode coarsen threshold dumps emit_decoded lint_mode no_lint no_deconflict
-    race_mode no_race fix fix_dry_run fix_budget =
+let run path mode coarsen threshold dumps lint_mode no_lint no_deconflict race_mode no_race
+    fix fix_dry_run fix_budget =
   let mode =
     match List.assoc_opt mode Core.Compile.modes with
     | Some mode -> mode
     | None -> raise (Core.Cli.Error (Core.Cli.Usage ("unknown mode " ^ mode)))
   in
-  let dumps = if emit_decoded then dumps @ [ Dump_decoded ] else dumps in
   (
     let repair =
       if fix || fix_dry_run then
@@ -206,16 +205,12 @@ let dumps_arg =
         ("source", Dump_source);
       ]
   in
-  Arg.(value & opt_all conv_dump [] & info [ "dump" ] ~doc:"What to print: ir|asm|decoded|hints|analysis|candidates|source")
-
-let emit_decoded_arg =
   Arg.(
-    value & flag
-    & info [ "emit-decoded" ]
+    value & opt_all conv_dump []
+    & info [ "dump" ]
         ~doc:
-          "Print the pre-decoded descriptor array the interpreter executes: one line per \
-           slot with opcode, decoded operand fields, resolved branch/call targets and \
-           latency class (shorthand for --dump decoded)")
+          "What to print: ir|asm|decoded|hints|analysis|candidates|source (decoded: the \
+           pre-decoded descriptor array the interpreter executes, one line per slot)")
 
 let lint_arg =
   Arg.(
@@ -282,9 +277,9 @@ let cmd =
   Cmd.v
     (Cmd.info "srcc" ~doc:"MiniSIMT compiler with Speculative Reconvergence")
     Term.(
-      const run $ path_arg $ mode_arg $ coarsen_arg $ threshold_arg $ dumps_arg
-      $ emit_decoded_arg $ lint_arg $ no_lint_arg $ no_deconflict_arg $ race_arg
-      $ no_race_arg $ fix_arg $ fix_dry_run_arg $ fix_budget_arg)
+      const run $ path_arg $ mode_arg $ coarsen_arg $ threshold_arg $ dumps_arg $ lint_arg
+      $ no_lint_arg $ no_deconflict_arg $ race_arg $ no_race_arg $ fix_arg $ fix_dry_run_arg
+      $ fix_budget_arg)
 
 let () =
   let code = Core.Cli.handle (fun () -> Cmd.eval ~catch:false cmd) in

@@ -1,21 +1,18 @@
-(* srserved: a long-lived batched compile-and-simulate service.
+(* srserved: a long-lived compile-and-simulate service.
 
    Reads newline-delimited requests (Serve.Protocol) from stdin — or
    from --trace FILE, or over a Unix-domain socket with --socket PATH —
-   and answers one response line per request line, in order.
-   Consecutive `run` lines accumulate into a batch of up to --max-batch
-   requests; a batch flushes when it fills, when a non-run line
-   arrives, on an empty line, or at EOF. Its runs are then answered in
-   order on one domain, each resolved through the content-addressed
-   cache (a kernel compiles only on a miss) and launched before the
-   next, and the batch's responses print together. `stats` reports the
-   cache counters, `quit` answers `bye` and exits 0 (over a socket:
-   ends that connection). `shutdown` — or SIGTERM in socket mode —
-   drains gracefully: the launch under way completes and answers, later
-   runs bounce with `overloaded retry-after=N`, everyone gets `bye`,
-   exit 0. Malformed
-   lines get `error` responses (usage code) without disturbing the
-   stream; the server never dies on bad input.
+   and answers each request line as soon as it is read, one response
+   line per request line, in order; a blank line gets no response. A
+   `run` is resolved through the content-addressed cache (a kernel
+   compiles only on a miss) and launched before the next line is read.
+   `stats` reports the cache counters, `quit` answers `bye` and exits 0
+   (over a socket: ends that connection). `shutdown` — or SIGTERM in
+   socket mode — drains gracefully: the launch under way completes and
+   answers, later runs bounce with `overloaded retry-after=N`, everyone
+   gets `bye`, exit 0. Malformed lines get `error` responses (usage
+   code) without disturbing the stream; the server never dies on bad
+   input.
 
    --persist DIR write-through-caches compile artifacts to a crash-safe
    on-disk store: a restarted server answers repeated kernels without
@@ -26,19 +23,17 @@
 
 let usage msg = raise (Core.Cli.Error (Core.Cli.Usage msg))
 
-let main trace socket persist cache_capacity max_batch max_inflight max_issues
-    deadline retry_after read_timeout max_line race_gate =
+let main trace socket persist cache_capacity max_issues deadline retry_after read_timeout
+    max_line race_gate =
   if cache_capacity < 0 then usage "--cache-capacity must be >= 0";
-  if max_batch < 1 then usage "--max-batch must be >= 1";
-  if max_inflight < 1 then usage "--max-inflight must be >= 1";
   if deadline < 0 then usage "--deadline must be >= 0 (0 = unlimited)";
   if retry_after < 0 then usage "--retry-after must be >= 0";
   if read_timeout <= 0.0 then usage "--read-timeout must be positive";
   if max_line < 1 then usage "--max-line must be >= 1";
   if socket <> None && trace <> None then usage "--socket and --trace are mutually exclusive";
   let server =
-    Serve.Server.create ~cache_capacity ~max_inflight ~max_issues ~fuel:deadline
-      ?persist_dir:persist ~retry_after ~race_gate ()
+    Serve.Server.create ~cache_capacity ~max_issues ~fuel:deadline ?persist_dir:persist
+      ~retry_after ~race_gate ()
   in
   match socket with
   | Some socket_path ->
@@ -46,15 +41,15 @@ let main trace socket persist cache_capacity max_batch max_inflight max_issues
        everyone gets bye, exit 0. *)
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle (fun _ -> Serve.Server.drain server));
-    Serve.Transport.serve ~max_batch ~read_timeout ~max_line server ~socket_path ()
+    Serve.Transport.serve ~read_timeout ~max_line server ~socket_path ()
   | None -> (
     match trace with
-    | None -> Serve.Transport.serve_channel ~max_batch server stdin stdout
+    | None -> Serve.Transport.serve_channel server stdin stdout
     | Some path ->
       let ic = open_in path in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Transport.serve_channel ~max_batch server ic stdout))
+        (fun () -> Serve.Transport.serve_channel server ic stdout))
 
 open Cmdliner
 
@@ -62,9 +57,8 @@ let cmd =
   Cmd.v
     (Cmd.info "srserved"
        ~doc:
-         "Batched compile-and-simulate service over stdio: newline-delimited kernel-launch \
-          requests against a content-addressed compile cache, answered in order with \
-          explicit overload backpressure")
+         "Compile-and-simulate service over stdio: newline-delimited kernel-launch requests \
+          against a content-addressed compile cache, each answered in order as it is read")
     Term.(
       const main
       $ Arg.(
@@ -77,7 +71,7 @@ let cmd =
           & info [ "socket" ] ~docv:"PATH"
               ~doc:
                 "Serve concurrent connections over a Unix-domain socket at $(docv) instead of \
-                 stdio; per-connection batching, timeouts and error isolation")
+                 stdio; per-connection timeouts and error isolation")
       $ Arg.(
           value
           & opt (some string) None
@@ -88,15 +82,6 @@ let cmd =
       $ Arg.(
           value & opt int 128
           & info [ "cache-capacity" ] ~doc:"Compile-cache entries (0 disables caching)")
-      $ Arg.(
-          value & opt int 64
-          & info [ "max-batch" ] ~doc:"Run requests accumulated before a batch flushes")
-      $ Arg.(
-          value & opt int 256
-          & info [ "max-inflight" ]
-              ~doc:
-                "Launches admitted per batch segment; requests beyond the bound receive an \
-                 overloaded response instead of queueing")
       $ Arg.(
           value & opt int 1_500_000
           & info [ "max-issues" ] ~doc:"Per-launch issue budget (the runaway cap)")

@@ -130,5 +130,5 @@ val decode : Linear.t -> t
 (** Human-readable listing of the descriptor array — opcode, decoded
     fields, resolved targets, immediate-pool contents — so decode bugs
     are diagnosable without running the interpreter ([srcc
-    --emit-decoded]). *)
+    --dump decoded]). *)
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (* Minimal srserved socket client: connect with bounded retry/backoff
-   (the server may still be binding when we race it up), line-oriented
-   round trips, and an rpc helper that retries transient overload.
+   (the server may still be binding when we race it up) and
+   line-oriented round trips.
 
    Shared by the socket tests and the serve-chaos harness — which also
    wants the raw fd to write torn bytes through, so it is exposed. *)
@@ -34,9 +34,6 @@ let send t lines =
       output_string t.oc line;
       output_char t.oc '\n')
     lines;
-  (* Blank line: the flush marker, so the batch answers now rather than
-     at max_batch. It earns no response of its own. *)
-  output_char t.oc '\n';
   flush t.oc
 
 let recv t n = List.init n (fun _ -> input_line t.ic)
@@ -45,19 +42,6 @@ let round_trip t lines =
   send t lines;
   recv t (List.length lines)
 
-let rpc ?(retries = 5) ?(backoff_s = 0.02) t line =
-  let rec go n delay =
-    match round_trip t [ line ] with
-    | [ resp ] -> (
-      match Protocol.parse_response resp with
-      | Ok (Protocol.Overloaded { retry_after = None; _ }) when n > 0 ->
-        (* Transient backpressure: safe to retry after a pause. *)
-        Unix.sleepf delay;
-        go (n - 1) (Float.min 0.5 (delay *. 2.0))
-      | _ ->
-        (* Anything else — including a draining server's retry-after
-           hint — is the answer; retrying a drain is futile. *)
-        resp)
-    | other -> failwith (Printf.sprintf "client: %d responses to one request" (List.length other))
-  in
-  go (max 0 retries) backoff_s
+let rpc t line =
+  send t [ line ];
+  input_line t.ic

@@ -1,9 +1,8 @@
-(** Minimal srserved socket client with bounded retry/backoff.
+(** Minimal srserved socket client.
 
     Used by the socket determinism tests and the serve-chaos harness.
-    Line-oriented: {!round_trip} writes the given request lines plus the
-    blank-line flush marker and reads exactly one response line per
-    request line. *)
+    Line-oriented: {!round_trip} writes the given request lines and
+    reads exactly one response line per request line. *)
 
 type t
 
@@ -18,7 +17,7 @@ val close : t -> unit
     go quiet mid-line on purpose. *)
 val fd : t -> Unix.file_descr
 
-(** [send t lines] — write the lines and the blank flush marker. *)
+(** [send t lines] — write the lines. *)
 val send : t -> string list -> unit
 
 (** [recv t n] — read exactly [n] response lines.
@@ -27,8 +26,8 @@ val recv : t -> int -> string list
 
 val round_trip : t -> string list -> string list
 
-(** [rpc t line] — one request with bounded retry: a plain [overloaded]
-    (no [retry-after]) is retried with exponential backoff up to
-    [retries] times; an [overloaded] carrying [retry-after] (a draining
-    server) or any other response is returned as-is. *)
-val rpc : ?retries:int -> ?backoff_s:float -> t -> string -> string
+(** [rpc t line] — one request, one response line. An [overloaded]
+    response comes from a draining server and is returned as-is:
+    retrying a drain is futile.
+    @raise End_of_file if the server closes first. *)
+val rpc : t -> string -> string

@@ -262,7 +262,7 @@ type reply = {
 type response =
   | Ok_run of reply
   | Error of { rid : int; code : int; kind : string; msg : string }
-  | Overloaded of { rid : int; retry_after : int option }
+  | Overloaded of { rid : int; retry_after : int }
   | Deadline of { rid : int; fuel : int }
   | Stats_reply of {
       rid : int;
@@ -286,9 +286,8 @@ let print_response = function
       r.hits r.misses r.evictions r.cycles r.issues r.active r.finished r.digest
   | Error { rid; code; kind; msg } ->
     Printf.sprintf "error id=%d code=%d kind=%s msg=%s" rid code kind (encode msg)
-  | Overloaded { rid; retry_after = None } -> Printf.sprintf "overloaded id=%d" rid
-  | Overloaded { rid; retry_after = Some s } ->
-    Printf.sprintf "overloaded id=%d retry-after=%d" rid s
+  | Overloaded { rid; retry_after } ->
+    Printf.sprintf "overloaded id=%d retry-after=%d" rid retry_after
   | Deadline { rid; fuel } -> Printf.sprintf "deadline id=%d fuel=%d" rid fuel
   | Stats_reply { rid; hits; misses; evictions; entries; served; phits; pcorrupt } ->
     Printf.sprintf
@@ -306,7 +305,7 @@ let parse_response line =
       | "overloaded" :: rest ->
         let tbl = fields_of_words rest in
         let rid = int_field "id" (require tbl "id") in
-        let retry_after = Option.map (int_field "retry-after") (take tbl "retry-after") in
+        let retry_after = int_field "retry-after" (require tbl "retry-after") in
         no_leftovers tbl;
         Overloaded { rid; retry_after }
       | "deadline" :: rest ->

@@ -13,12 +13,13 @@
     Error responses reuse {!Core.Cli}'s stable 0–8 exit-code contract:
     the [code] field of an [error] line is exactly the code the one-shot
     tool ([srcc]/[srrun]) would have exited with for the same input, so
-    clients can share triage logic across the batch and one-shot paths.
-    [overloaded] is not an error code but its own response head: the
-    request was never admitted, and retrying it later is expected to
-    succeed — conflating that with a 0–8 failure would poison retry
-    logic. A draining server attaches [retry-after=SECONDS] so clients
-    back off instead of hammering a server on its way down. [deadline]
+    clients can share triage logic across the served and one-shot paths.
+    [overloaded] is not an error code but its own response head: a
+    draining server admitted no launch, and the same request sent to a
+    live server is expected to succeed — conflating that with a 0–8
+    failure would poison retry logic. It always carries
+    [retry-after=SECONDS], so clients back off instead of hammering a
+    server on its way down. [deadline]
     likewise stands apart from [error]: the request's fuel budget ran
     out, which is an {e expected} outcome of a budgeted run, not a tool
     failure (it maps to exit code 9 on the one-shot path). *)
@@ -81,8 +82,8 @@ type command =
   | Stats of int  (** report cache/served counters; the int is the echoed id *)
   | Quit
   | Shutdown
-      (** graceful drain: finish in-flight work, answer pendings, then
-          stop the whole server (not just this connection) *)
+      (** graceful drain: every later run answers [overloaded], then
+          the whole server stops (not just this connection) *)
 
 (** [parse_command line] — strict: unknown heads, unknown keys, bad
     escapes, bad integers, unknown mode/policy/init names and a missing
@@ -115,10 +116,10 @@ type response =
   | Ok_run of reply
   | Error of { rid : int; code : int; kind : string; msg : string }
       (** [code] per {!Core.Cli.exit_code}; [kind] its symbolic name *)
-  | Overloaded of { rid : int; retry_after : int option }
-      (** bounced by backpressure before admission; safe to retry.
-          [retry_after] (seconds) is set by a draining server as a
-          back-off hint *)
+  | Overloaded of { rid : int; retry_after : int }
+      (** bounced by a draining server before admission; safe to retry
+          elsewhere or later. [retry_after] is the back-off hint in
+          seconds *)
   | Deadline of { rid : int; fuel : int }
       (** the launch ran out of its fuel budget (exit code 9 on the
           one-shot path); [fuel] is the budget that was exhausted *)

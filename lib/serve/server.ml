@@ -1,13 +1,10 @@
 (* The srserved engine.
 
-   Commands are answered in one in-order pass on the calling domain: a
-   run is admitted, resolved and launched before the next command is
-   looked at.
+   Each command is answered on the calling domain before the next one
+   is looked at. A run goes through three steps:
 
-     1. admission  — a draining server bounces every run with its
-                     back-off hint; a live one bounces the runs past
-                     [max_inflight] in their segment. A bounced run
-                     touches nothing;
+     1. admission  — a draining server bounces the run with its
+                     back-off hint; a bounced run touches nothing;
      2. resolution — [Cache.find_or_add]; a miss loads the artifact from
                      the persist store, or compiles it and writes it
                      through;
@@ -15,8 +12,7 @@
 
    Only resolution touches the cache and the store, and it runs in
    command order, so the counters a response echoes and a [stats] reply
-   reports depend on the command sequence alone, never on how the front
-   end batched it. *)
+   reports depend on the command sequence alone. *)
 
 module P = Protocol
 module T = Ir.Types
@@ -25,7 +21,6 @@ module Sm = Support.Splitmix
 type t = {
   cache : Core.Compile.compiled Cache.t;
   persist : Persist.t option;
-  max_inflight : int;
   max_issues : int;
   fuel : int; (* default per-launch fuel budget; 0 = unlimited *)
   retry_after : int; (* back-off hint attached while draining *)
@@ -34,15 +29,13 @@ type t = {
   mutable served : int;
 }
 
-let create ?(cache_capacity = 128) ?(max_inflight = 256) ?(max_issues = 1_500_000) ?(fuel = 0)
-    ?persist_dir ?(retry_after = 1) ?(race_gate = false) () =
-  if max_inflight < 1 then invalid_arg "Server.create: max_inflight must be >= 1";
+let create ?(cache_capacity = 128) ?(max_issues = 1_500_000) ?(fuel = 0) ?persist_dir
+    ?(retry_after = 1) ?(race_gate = false) () =
   if fuel < 0 then invalid_arg "Server.create: fuel must be >= 0";
   if retry_after < 0 then invalid_arg "Server.create: retry_after must be >= 0";
   {
     cache = Cache.create ~capacity:cache_capacity;
     persist = Option.map (fun dir -> Persist.create ~dir) persist_dir;
-    max_inflight;
     max_issues;
     fuel;
     retry_after;
@@ -206,15 +199,9 @@ let launch t (req : P.request) cache (compiled : Core.Compile.compiled) =
       P.Deadline { rid = req.P.id; fuel = fuel_of_request t req }
     | exn -> error_response req.P.id exn)
 
-(* [position] counts the runs of the current segment: those since the
-   last stats, quit or shutdown. Everything after a shutdown sees a
-   draining server. *)
-let answer t position = function
+let answer t = function
   | P.Run r ->
-    let i = !position in
-    position := i + 1;
-    if t.draining then P.Overloaded { rid = r.P.id; retry_after = Some t.retry_after }
-    else if i >= t.max_inflight then P.Overloaded { rid = r.P.id; retry_after = None }
+    if t.draining then P.Overloaded { rid = r.P.id; retry_after = t.retry_after }
     else begin
       let response =
         match resolve t r with
@@ -225,7 +212,6 @@ let answer t position = function
       response
     end
   | P.Stats rid ->
-    position := 0;
     P.Stats_reply
       {
         rid;
@@ -237,27 +223,18 @@ let answer t position = function
         phits = persist_hits t;
         pcorrupt = persist_corrupt t;
       }
-  | P.Quit ->
-    position := 0;
-    P.Bye
+  | P.Quit -> P.Bye
   | P.Shutdown ->
-    position := 0;
     drain t;
     P.Bye
 
-let submit t commands = List.map (answer t (ref 0)) commands
+let submit t commands = List.map (answer t) commands
 
-let submit_lines t lines =
-  (* A malformed line answers in place (usage code, id -1: the id, if
-     any, was part of what failed to parse) and does not end the
-     segment — the server never dies on bad input. *)
-  let position = ref 0 in
-  List.map
-    (fun line ->
-      P.print_response
-        (match P.parse_command line with
-        | Ok cmd -> answer t position cmd
-        | Error msg ->
-          P.Error
-            { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind = "malformed"; msg }))
-    lines
+(* A malformed line answers in place (usage code, id -1: the id, if any,
+   was part of what failed to parse) — the server never dies on bad
+   input. *)
+let answer_line t line =
+  match P.parse_command line with
+  | Ok cmd -> answer t cmd
+  | Error msg ->
+    P.Error { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind = "malformed"; msg }

@@ -1,23 +1,20 @@
-(** The srserved engine: batched compile-and-simulate behind a
+(** The srserved engine: compile-and-simulate behind a
     content-addressed compile cache.
 
     A server owns one {!Cache.t} mapping (source, compile options) to
     the {!Core.Compile.compiled} artifact — in particular its immutable
     {!Ir.Decoded.t}, so a kernel submitted by any number of clients
-    decodes once. {!submit} answers a list of protocol commands with
-    exactly one response per command, in command order, in one pass on
-    the calling domain:
+    decodes once. {!submit} and {!answer_line} give exactly one
+    response per command, on the calling domain, each before the next
+    command is looked at:
 
     - each run is admitted, resolved through the cache and launched
-      before the next command is looked at, so the hit/miss/eviction
+      before its response is returned, so the hit/miss/eviction
       counters a response echoes, and everything a [stats] reply
-      reports, depend on the command sequence alone, never on how a
-      front end split it into batches;
-    - backpressure is explicit: a segment (the runs between two other
-      commands; a malformed line does not end one) admits at most
-      [max_inflight] launches, and every run beyond that bound gets an
-      [overloaded] response instead of queueing unboundedly (it was
-      never admitted; the client retries).
+      reports, depend on the command sequence alone;
+    - nothing queues: the front ends answer each request line as they
+      read it, so a client waits only for the commands read before its
+      own.
 
     Failures never tear the server down: per-request errors map through
     {!Core.Cli.classify} to the 0–9 code contract and come back as
@@ -38,9 +35,8 @@
 type t
 
 (** [create ()] — [cache_capacity] entries ([0] disables caching),
-    [max_inflight] admitted launches per segment, [max_issues]
-    the per-launch runaway budget, [fuel] the default per-launch
-    deadline budget ([0] = unlimited; requests override it with
+    [max_issues] the per-launch runaway budget, [fuel] the default
+    per-launch deadline budget ([0] = unlimited; requests override it with
     [deadline=]), [persist_dir] the on-disk artifact store to write
     through to, [retry_after] the back-off hint (seconds) attached to
     [overloaded] responses while draining, [race_gate] refuses to
@@ -50,7 +46,6 @@ type t
     key). *)
 val create :
   ?cache_capacity:int ->
-  ?max_inflight:int ->
   ?max_issues:int ->
   ?fuel:int ->
   ?persist_dir:string ->
@@ -75,10 +70,10 @@ val outcome_kind_and_message : Core.Cli.outcome -> string * string
 (** One response per command, in order. *)
 val submit : t -> Protocol.command list -> Protocol.response list
 
-(** [submit_lines t lines] — parse, answer and print each line in turn:
-    the front ends' core, one response line per request line (malformed
-    lines get [error] responses with the usage code). *)
-val submit_lines : t -> string list -> string list
+(** [answer_line t line] — parse one request line and answer it: the
+    front ends' core. A malformed line gets an [error] response with the
+    usage code. *)
+val answer_line : t -> string -> Protocol.response
 
 (** Cumulative launches completed (ok or error; overloaded and stats
     excluded). *)
@@ -101,10 +96,9 @@ val persist_hits : t -> int
     [persist_dir]). *)
 val persist_corrupt : t -> int
 
-(** [drain t] — stop admitting launches: every later run, the rest of
-    the current segment included, is answered [overloaded
-    retry-after=N]. Stats/quit still answer; the launch under way
-    completes. Idempotent. *)
+(** [drain t] — stop admitting launches: every later run is answered
+    [overloaded retry-after=N]. Stats/quit still answer; the launch
+    under way completes. Idempotent. *)
 val drain : t -> unit
 
 val draining : t -> bool

@@ -2,14 +2,14 @@
    (stdin or a trace file), and a Unix-domain socket serving any number
    of connections over one shared {!Server.t}.
 
-   Both batch request lines through one handler, [handle_line]: a blank
-   line flushes the batch, [max_batch] caps a segment, a non-run line
-   flushes the batch and is then answered in place, and [quit] or
-   [shutdown] ends the stream. The socket's single-threaded select loop
-   runs each batch to completion on the coordinating thread before it
-   looks at the next connection's bytes, so every connection sees the
-   byte-identical response stream the channel front end would have
-   written, whatever the interleaving.
+   Both answer each request line as soon as it is read, through one
+   handler, [handle_line]: a blank line gets no response, any other line
+   gets exactly one, written before the next line is looked at, and the
+   [bye] that [quit] or [shutdown] earns ends the stream. The socket's
+   single-threaded select loop answers every complete line a read
+   delivered before it looks at the next connection's bytes, so every
+   connection sees the byte-identical response stream the channel front
+   end would have written, whatever the interleaving.
 
    Hostility is contained per connection:
    - a peer that goes quiet mid-line holds only its own buffer; after
@@ -22,75 +22,52 @@
 
    [quit] ends one connection; [shutdown] (or {!Server.drain}, e.g.
    from a SIGTERM handler) drains the whole service: the launch under
-   way completes and answers, every run after it — the rest of its
-   batch and every other connection's pending work — is answered by
-   the draining server ([overloaded retry-after=N]),
-   everyone gets [bye], the socket file is unlinked, and [serve]
-   returns so the caller can exit 0. *)
+   way completes and answers, every run read after it is answered by
+   the draining server ([overloaded retry-after=N]), everyone gets
+   [bye], the socket file is unlinked, and [serve] returns so the
+   caller can exit 0. *)
 
 module P = Protocol
 
-(* One request stream's batch state, whichever front end feeds it. *)
+(* One request stream, whichever front end feeds it. *)
 type stream = {
   write : string -> unit; (* newline-terminated response lines *)
-  mutable pending : string list; (* reversed run lines awaiting a flush *)
   mutable alive : bool; (* false once the stream ended or its peer died *)
 }
 
-(* All responses for one batch go out in a single write; a failed socket
-   write ends that stream without touching anyone else. *)
-let respond server st lines =
-  let out = Server.submit_lines server lines in
-  try st.write (String.concat "" (List.map (fun l -> l ^ "\n") out))
-  with Unix.Unix_error _ -> st.alive <- false
+(* A failed socket write ends that stream without touching anyone
+   else. *)
+let respond st response =
+  try st.write (P.print_response response ^ "\n") with Unix.Unix_error _ -> st.alive <- false
 
-let flush_pending server st =
-  if st.pending <> [] then begin
-    let lines = List.rev st.pending in
-    st.pending <- [];
-    respond server st lines
-  end
-
-let is_run_line line =
-  let line = String.trim line in
-  String.length line >= 4 && String.sub line 0 4 = "run "
-
-let handle_line server ~max_batch st line =
-  if String.trim line = "" then flush_pending server st
-  else if is_run_line line then begin
-    st.pending <- line :: st.pending;
-    if List.length st.pending >= max_batch then flush_pending server st
-  end
-  else begin
-    (* stats / quit / shutdown / malformed: sequential markers — the
-       batch before them answers first. *)
-    flush_pending server st;
-    respond server st [ line ];
-    match P.parse_command line with
-    | Ok P.Quit | Ok P.Shutdown ->
-      (* Either way this stream ends with its [bye]; for shutdown the
-         server is now draining and the socket loop winds down. *)
+let handle_line server st line =
+  if String.trim line <> "" then begin
+    let response = Server.answer_line server line in
+    respond st response;
+    match response with
+    | P.Bye ->
+      (* [quit] or [shutdown]: either way this stream ends with its
+         [bye]; for shutdown the server is now draining and the socket
+         loop winds down. *)
       st.alive <- false
     | _ -> ()
   end
 
-let serve_channel ~max_batch server ic oc =
-  if max_batch < 1 then invalid_arg "Transport.serve_channel: max_batch must be >= 1";
+let serve_channel server ic oc =
   let st =
     {
       write =
         (fun s ->
           output_string oc s;
           flush oc);
-      pending = [];
       alive = true;
     }
   in
   try
     while st.alive do
-      handle_line server ~max_batch st (input_line ic)
+      handle_line server st (input_line ic)
     done
-  with End_of_file -> flush_pending server st
+  with End_of_file -> ()
 
 (* ---- the socket front end ---- *)
 
@@ -110,37 +87,33 @@ let write_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let send_raw conn line =
-  try write_all conn.fd (line ^ "\n") with Unix.Unix_error _ -> conn.st.alive <- false
-
-(* Split complete lines out of the buffer; whatever remains is a partial
-   whose age starts the read-timeout clock. *)
-let consume server ~max_batch conn =
-  let continue = ref true in
-  while !continue && conn.st.alive do
-    let data = Buffer.contents conn.buf in
-    match String.index_opt data '\n' with
-    | None ->
-      if String.length data = 0 then conn.partial_since <- None
-      else if conn.partial_since = None then conn.partial_since <- Some (Unix.gettimeofday ());
-      continue := false
-    | Some i ->
-      let line = String.sub data 0 i in
-      Buffer.clear conn.buf;
-      Buffer.add_substring conn.buf data (i + 1) (String.length data - i - 1);
-      conn.partial_since <- None;
-      handle_line server ~max_batch conn.st line
-  done
+(* Answer every complete line in the buffer, split out of one snapshot
+   by offset, and keep only the tail. That tail is a partial line whose
+   age runs the read-timeout clock, restarted whenever a line was
+   answered. *)
+let consume server conn =
+  let data = Buffer.contents conn.buf in
+  let rec split start =
+    match String.index_from_opt data start '\n' with
+    | Some i when conn.st.alive ->
+      handle_line server conn.st (String.sub data start (i - start));
+      split (i + 1)
+    | _ -> start
+  in
+  let start = split 0 in
+  if start > 0 then begin
+    Buffer.clear conn.buf;
+    Buffer.add_substring conn.buf data start (String.length data - start)
+  end;
+  if Buffer.length conn.buf = 0 then conn.partial_since <- None
+  else if start > 0 || conn.partial_since = None then
+    conn.partial_since <- Some (Unix.gettimeofday ())
 
 let reject conn kind msg =
-  send_raw conn
-    (P.print_response
-       (P.Error { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind; msg }));
+  respond conn.st (P.Error { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind; msg });
   conn.st.alive <- false
 
-let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) server ~socket_path
-    () =
-  if max_batch < 1 then invalid_arg "Transport.serve: max_batch must be >= 1";
+let serve ?(read_timeout = 30.0) ?(max_line = 1_000_000) server ~socket_path () =
   if read_timeout <= 0.0 then invalid_arg "Transport.serve: read_timeout must be positive";
   if max_line < 1 then invalid_arg "Transport.serve: max_line must be >= 1";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -151,14 +124,11 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
   let conns = ref [] in
   let chunk = Bytes.create 65536 in
   let finish () =
-    (* Drain: answer everything already buffered (the draining server
-       bounces it with the back-off hint), say goodbye, tear down. *)
+    (* Drain: every line read so far is answered, so say goodbye and
+       tear down. *)
     List.iter
       (fun c ->
-        if c.st.alive then begin
-          flush_pending server c.st;
-          if c.st.alive then send_raw c (P.print_response P.Bye)
-        end;
+        if c.st.alive then respond c.st P.Bye;
         try Unix.close c.fd with Unix.Unix_error _ -> ())
       !conns;
     conns := [];
@@ -168,13 +138,11 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
   let read_conn c =
     match Unix.read c.fd chunk 0 (Bytes.length chunk) with
     | 0 ->
-      (* EOF flushes like the stdio loop's: buffered work still answers. *)
-      consume server ~max_batch c;
-      flush_pending server c.st;
+      (* EOF: a partial line left in the buffer is dropped unanswered. *)
       c.st.alive <- false
     | n ->
       Buffer.add_subbytes c.buf chunk 0 n;
-      consume server ~max_batch c;
+      consume server c;
       if c.st.alive && Buffer.length c.buf > max_line then
         reject c "overflow" (Printf.sprintf "request line exceeds %d bytes" max_line)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -201,7 +169,7 @@ let serve ?(max_batch = 64) ?(read_timeout = 30.0) ?(max_line = 1_000_000) serve
         if List.memq listen_fd ready then begin
           match Unix.accept listen_fd with
           | fd, _ ->
-            let st = { write = write_all fd; pending = []; alive = true } in
+            let st = { write = write_all fd; alive = true } in
             conns := { fd; buf = Buffer.create 256; partial_since = None; st } :: !conns
           | exception Unix.Unix_error _ -> ()
         end;

@@ -2,12 +2,12 @@
     ({!serve_channel}: stdin or [--trace FILE]) and a Unix-domain socket
     ({!serve}: [--socket PATH]).
 
-    Both batch request lines under one set of rules: a blank line
-    flushes the batch, [max_batch] caps a segment, a non-run line
-    flushes the batch and is then answered in place, and [quit] or
-    [shutdown] ends the stream. So a socket connection's response
-    stream is byte-identical to what the same lines produce over a
-    channel, regardless of how other connections interleave.
+    Both answer each request line as soon as it is read, one response
+    line per non-blank request line, in order: a blank line gets no
+    response, and [quit] or [shutdown] ends the stream. So a socket
+    connection's response stream is byte-identical to what the same
+    lines produce over a channel, regardless of how other connections
+    interleave.
 
     The socket front end is a single-threaded select loop serving any
     number of concurrent client connections over one shared
@@ -19,26 +19,18 @@
 
     Over a socket, [quit] ends one connection. [shutdown] — or
     {!Server.drain} called from a signal handler — drains the whole
-    service: buffered work is answered by the draining server
+    service: runs read after it are answered by the draining server
     ([overloaded retry-after=N]), every connection gets [bye], the
     socket file is unlinked, and [serve] returns (the caller then exits
     0). SIGPIPE is set to ignore. *)
 
-(** [serve_channel ~max_batch server ic oc] answers the request lines
-    read from [ic] on [oc], one response line per request line, in
-    order, until [quit], [shutdown] or end of input; end of input
-    flushes the pending batch first.
-    @raise Invalid_argument if [max_batch < 1]. *)
-val serve_channel : max_batch:int -> Server.t -> in_channel -> out_channel -> unit
+(** [serve_channel server ic oc] answers the request lines read from
+    [ic] on [oc], each before the next is read, until [quit],
+    [shutdown] or end of input. *)
+val serve_channel : Server.t -> in_channel -> out_channel -> unit
 
 (** [serve server ~socket_path ()] binds, listens, and serves until the
     server drains. Replaces any stale socket file at [socket_path].
-    Defaults: [max_batch] 64, [read_timeout] 30s, [max_line] 1MB. *)
+    Defaults: [read_timeout] 30s, [max_line] 1MB. *)
 val serve :
-  ?max_batch:int ->
-  ?read_timeout:float ->
-  ?max_line:int ->
-  Server.t ->
-  socket_path:string ->
-  unit ->
-  unit
+  ?read_timeout:float -> ?max_line:int -> Server.t -> socket_path:string -> unit -> unit

@@ -228,7 +228,7 @@ let test_profile_slots () =
     d.D.bslot;
   check_int "every slot assigned" n_slots (!seen + 1)
 
-(* ---- listing dump (what `srcc --emit-decoded` prints) ---- *)
+(* ---- listing dump (what `srcc --dump decoded` prints) ---- *)
 
 let test_pp_listing () =
   let source =

@@ -50,15 +50,15 @@ let serve_trace =
 
 let render_serve () =
   let server = Serve.Server.create ~cache_capacity:32 () in
-  String.concat "\n" (Serve.Server.submit_lines server serve_trace)
+  String.concat "\n"
+    (List.map
+       (fun line -> Serve.Protocol.print_response (Serve.Server.answer_line server line))
+       serve_trace)
 
 (* The channel front end (srserved over stdin or --trace) reads the
-   same trace as request lines. Batching must not show in the answers:
-   they match the engine's, one line each. A cap of 1 makes every run
-   its own segment, a cap of 3 flushes batches as they fill, and
-   srserved's default cap, 64, holds every run line until the trace's
-   first other line flushes them. *)
-let render_channel ~max_batch =
+   same trace as request lines; its answers match the engine's, one
+   line each. *)
+let render_channel () =
   let input = Filename.temp_file "srchannel" ".in" in
   let output = Filename.temp_file "srchannel" ".out" in
   Fun.protect ~finally:(fun () ->
@@ -69,18 +69,12 @@ let render_channel ~max_batch =
       List.iter (fun l -> output_string oc (l ^ "\n")) serve_trace);
   In_channel.with_open_text input (fun ic ->
       Out_channel.with_open_text output (fun oc ->
-          Serve.Transport.serve_channel ~max_batch (Serve.Server.create ~cache_capacity:32 ()) ic
-            oc));
+          Serve.Transport.serve_channel (Serve.Server.create ~cache_capacity:32 ()) ic oc));
   In_channel.with_open_text output In_channel.input_all
 
-let test_serve_front_ends () =
-  let engine = render_serve () in
-  List.iter
-    (fun max_batch ->
-      Alcotest.(check string)
-        (Printf.sprintf "the channel front end at max_batch %d matches the engine" max_batch)
-        (engine ^ "\n") (render_channel ~max_batch))
-    [ 1; 3; 64 ]
+let test_serve_channel_matches_engine () =
+  Alcotest.(check string) "the channel front end matches the engine" (render_serve () ^ "\n")
+    (render_channel ())
 
 (* And once more over the wire: the same trace through a
    Serve.Transport socket server must come back byte-identical to the
@@ -134,8 +128,8 @@ let tests =
       [
         Alcotest.test_case "corpus funnel under 1 vs 4 domains" `Slow
           test_funnel_domain_independence;
-        Alcotest.test_case "srserved response stream across front-end batch caps" `Slow
-          test_serve_front_ends;
+        Alcotest.test_case "srserved response stream over a channel matches the engine" `Slow
+          test_serve_channel_matches_engine;
         Alcotest.test_case "socket transport stream matches the engine" `Slow
           test_socket_matches_engine;
       ] );

@@ -1,8 +1,7 @@
 (* The serve tier: wire protocol round trips, the content-addressed
    compile cache, and the srserved engine held to the one-shot
    Core.Compile/Core.Runner pipeline — per-request error mapping through
-   the 0–8 code contract, backpressure, and the full-registry
-   differential. *)
+   the 0–8 code contract, drain, and the full-registry differential. *)
 
 module P = Serve.Protocol
 module Cache = Serve.Cache
@@ -82,8 +81,7 @@ let test_response_round_trips () =
        });
   round_trip_response
     (P.Error { rid = 9; code = 4; kind = "syntax"; msg = "line 2: unexpected token\nhint" });
-  round_trip_response (P.Overloaded { rid = 11; retry_after = None });
-  round_trip_response (P.Overloaded { rid = 12; retry_after = Some 3 });
+  round_trip_response (P.Overloaded { rid = 12; retry_after = 3 });
   round_trip_response (P.Deadline { rid = 13; fuel = 5000 });
   round_trip_response
     (P.Stats_reply
@@ -98,17 +96,19 @@ let test_response_round_trips () =
          pcorrupt = 1;
        });
   round_trip_response P.Bye;
-  (* The digest is bare hex, as printed; OCaml literal syntax is not. *)
+  (* The digest is bare hex, as printed; OCaml literal syntax is not.
+     An overloaded response always carries its back-off hint. *)
   List.iter
-    (fun digest ->
-      let line =
-        "ok id=1 cache=hit hits=0 misses=0 evictions=0 cycles=1 issues=1 active=1 finished=1 \
-         digest=" ^ digest
-      in
+    (fun line ->
       match P.parse_response line with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("parser accepted " ^ line))
-    [ "0x10"; "1_0"; "+1"; "" ]
+    ("overloaded id=11"
+    :: List.map
+         (fun digest ->
+           "ok id=1 cache=hit hits=0 misses=0 evictions=0 cycles=1 issues=1 active=1 finished=1 \
+            digest=" ^ digest)
+         [ "0x10"; "1_0"; "+1"; "" ])
 
 let test_malformed_commands () =
   List.iter
@@ -243,25 +243,6 @@ let test_server_eviction () =
   check_int "two evictions" 2 (Server.cache_evictions server);
   check_int "one resident entry" 1 (Server.cache_entries server)
 
-let test_server_overloaded () =
-  let server = Server.create ~cache_capacity:8 ~max_inflight:1 () in
-  let req id = P.Run (P.make_request ~id ~warps:1 ~source:ok_source ()) in
-  (match Server.submit server [ req 0; req 1; req 2 ] with
-  | [ P.Ok_run _;
-      P.Overloaded { rid = 1; retry_after = None };
-      P.Overloaded { rid = 2; retry_after = None } ] -> ()
-  | other ->
-    Alcotest.failf "expected ok + 2 overloaded, got: %s"
-      (String.concat " | " (List.map P.print_response other)));
-  (* Bounced requests were never admitted: no cache traffic, not served. *)
-  check_int "one served" 1 (Server.served server);
-  check_int "one miss only" 1 (Server.cache_misses server);
-  check_int "no hits" 0 (Server.cache_hits server);
-  (* A retry of a bounced request later succeeds (and hits the cache). *)
-  match Server.submit server [ req 1 ] with
-  | [ P.Ok_run r ] -> check_bool "retry hits" true (r.P.cache = P.Hit)
-  | other -> Alcotest.failf "retry failed: %d response(s)" (List.length other)
-
 (* Per-request failures map to exactly the exit code the one-shot tools
    would have died with, and never tear the server down. *)
 let test_server_error_codes () =
@@ -294,7 +275,7 @@ let test_server_stats_and_lines () =
   let server = Server.create ~cache_capacity:8 () in
   let run id = P.print_command (P.Run (P.make_request ~id ~warps:1 ~source:ok_source ())) in
   let lines = [ run 0; "nonsense line"; run 1; P.print_command (P.Stats 7) ] in
-  match Server.submit_lines server lines with
+  match List.map (fun line -> P.print_response (Server.answer_line server line)) lines with
   | [ l0; l1; l2; l3 ] ->
     check_bool "first ok" true
       (match P.parse_response l0 with Ok (P.Ok_run _) -> true | _ -> false);
@@ -314,6 +295,40 @@ let test_server_stats_and_lines () =
       check_int "stats served" 2 s.served
     | _ -> Alcotest.fail "stats line did not answer with a stats reply")
   | other -> Alcotest.failf "expected 4 response lines, got %d" (List.length other)
+
+(* The channel front end answers a run line as soon as it reads it: with
+   the request pipe held open and nothing written after the run, the
+   response must still arrive. The wait is bounded, so a front end that
+   holds the run back fails here instead of hanging. *)
+let test_channel_answers_before_next_line () =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  let server_domain =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr req_r and oc = Unix.out_channel_of_descr resp_w in
+        Serve.Transport.serve_channel (Server.create ~cache_capacity:8 ()) ic oc;
+        close_in ic;
+        close_out oc)
+  in
+  let requests = Unix.out_channel_of_descr req_w in
+  let send command =
+    output_string requests (P.print_command command ^ "\n");
+    flush requests
+  in
+  send (P.Run (P.make_request ~id:0 ~warps:1 ~source:ok_source ()));
+  let ready, _, _ = Unix.select [ resp_r ] [] [] 5.0 in
+  send P.Quit;
+  close_out requests;
+  Domain.join server_domain;
+  let responses = Unix.in_channel_of_descr resp_r in
+  let lines = In_channel.input_all responses |> String.split_on_char '\n' in
+  close_in responses;
+  check_bool "the run is answered before the next line arrives" true (ready <> []);
+  match lines with
+  | [ ok; "bye"; "" ] ->
+    check_bool "the run's response is ok" true
+      (match P.parse_response ok with Ok (P.Ok_run { P.rid = 0; _ }) -> true | _ -> false)
+  | _ -> Alcotest.failf "expected ok then bye, got: %s" (String.concat " | " lines)
 
 (* The cached artifact is the same immutable Ir.Decoded the fresh
    compile produced — not a re-decode, not a copy that could drift. *)
@@ -449,28 +464,23 @@ let test_server_persist_restart () =
       check_bool "corruption detected" true (Server.persist_corrupt hurt > 0);
       check_int "corrupt entries served no hits" 0 (Server.persist_hits hurt))
 
-(* Batching must not show in [stats] either. Each cache miss the store
-   answers is one load, so a trace answered in one batch and the same
-   trace answered line by line report the same phits. A first server
-   warms the store; capacities 0 and 1 then force [a]'s second run to
-   miss again. *)
-let test_stats_batch_independent () =
+(* Each cache miss the store answers is one load, whatever made the
+   run miss. A first server warms the store; capacity 0 (no caching)
+   and capacity 1 (an eviction) then both force [a]'s second run to
+   miss again, and the store answers it again. *)
+let test_stats_one_load_per_miss () =
   with_temp_dir (fun dir ->
-      let run id source = P.print_command (P.Run (P.make_request ~id ~warps:1 ~source ())) in
-      let trace =
-        [ run 0 ok_source; run 1 other_source; run 2 ok_source; P.print_command (P.Stats 3) ]
-      in
-      ignore (Server.submit_lines (Server.create ~cache_capacity:8 ~persist_dir:dir ()) trace);
+      let run id source = P.Run (P.make_request ~id ~warps:1 ~source ()) in
+      let trace = [ run 0 ok_source; run 1 other_source; run 2 ok_source; P.Stats 3 ] in
+      ignore (Server.submit (Server.create ~cache_capacity:8 ~persist_dir:dir ()) trace);
       List.iter
         (fun cache_capacity ->
-          let batched =
-            Server.submit_lines (Server.create ~cache_capacity ~persist_dir:dir ()) trace
-          in
           let server = Server.create ~cache_capacity ~persist_dir:dir () in
-          let by_line = List.concat_map (fun line -> Server.submit_lines server [ line ]) trace in
-          check (Alcotest.list Alcotest.string)
-            (Printf.sprintf "capacity %d: one batch answers as line by line" cache_capacity)
-            batched by_line)
+          match List.rev (Server.submit server trace) with
+          | P.Stats_reply s :: _ ->
+            check_int (Printf.sprintf "capacity %d: misses" cache_capacity) 3 s.misses;
+            check_int (Printf.sprintf "capacity %d: phits" cache_capacity) 3 s.phits
+          | _ -> Alcotest.fail "the trace's stats line got no stats reply")
         [ 0; 1 ])
 
 let loop_source =
@@ -545,19 +555,24 @@ let test_server_drain () =
   (* Work submitted before the shutdown completes and is answered;
      work after it bounces with the back-off hint. *)
   (match Server.submit server [ run 0; P.Shutdown; run 1 ] with
-  | [ P.Ok_run { P.rid = 0; _ }; P.Bye; P.Overloaded { rid = 1; retry_after = Some 2 } ] -> ()
+  | [ P.Ok_run { P.rid = 0; _ }; P.Bye; P.Overloaded { rid = 1; retry_after = 2 } ] -> ()
   | other ->
-    Alcotest.failf "drain batch answered: %s"
+    Alcotest.failf "drain answered: %s"
       (String.concat " | " (List.map P.print_response other)));
   check_bool "server is draining" true (Server.draining server);
-  (* Draining persists across batches; stats still answers. *)
-  match Server.submit server [ run 2; P.Stats 9 ] with
-  | [ P.Overloaded { rid = 2; retry_after = Some 2 }; P.Stats_reply s ] ->
+  (* Draining persists across calls; stats still answers. *)
+  (match Server.submit server [ run 2; P.Stats 9 ] with
+  | [ P.Overloaded { rid = 2; retry_after = 2 }; P.Stats_reply s ] ->
     check_int "stats answers while draining" 9 s.rid;
     check_int "drained launch was served before shutdown" 1 s.served
   | other ->
     Alcotest.failf "draining server answered: %s"
-      (String.concat " | " (List.map P.print_response other))
+      (String.concat " | " (List.map P.print_response other)));
+  (* Bounced runs were never admitted: the same kernel as run 0, yet no
+     cache traffic, and not served. *)
+  check_int "one miss only" 1 (Server.cache_misses server);
+  check_int "no hits" 0 (Server.cache_hits server);
+  check_int "one served" 1 (Server.served server)
 
 (* ---- the registry differential: serve vs one-shot ---- *)
 
@@ -650,11 +665,11 @@ let tests =
         Alcotest.test_case "hit after miss with identical reply" `Quick
           test_server_hit_after_miss;
         Alcotest.test_case "eviction under capacity pressure" `Quick test_server_eviction;
-        Alcotest.test_case "backpressure bounces beyond max-inflight" `Quick
-          test_server_overloaded;
         Alcotest.test_case "error responses carry the 0-8 codes" `Quick test_server_error_codes;
         Alcotest.test_case "stats and malformed lines answer in place" `Quick
           test_server_stats_and_lines;
+        Alcotest.test_case "the channel front end answers a run before the next line" `Quick
+          test_channel_answers_before_next_line;
         Alcotest.test_case "cache hit serves the identical artifact" `Quick
           test_server_hit_serves_identical_artifact;
         Alcotest.test_case "full registry matches the one-shot pipeline" `Slow
@@ -672,7 +687,7 @@ let tests =
         Alcotest.test_case "fuel exhaustion is exit 9 one-shot" `Quick test_deadline_exit_code;
         Alcotest.test_case "shutdown drains then bounces with retry-after" `Quick
           test_server_drain;
-        Alcotest.test_case "stats do not depend on batching" `Quick
-          test_stats_batch_independent;
+        Alcotest.test_case "stats do not depend on why a run misses: one store load each"
+          `Quick test_stats_one_load_per_miss;
       ] );
   ]
