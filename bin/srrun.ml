@@ -29,11 +29,6 @@ let lookup what names name =
   | Some v -> v
   | None -> usage (Printf.sprintf "unknown %s %s" what name)
 
-let yield_policies =
-  [ ("oldest-arrival", Simt.Config.Oldest_arrival);
-    ("most-waiters", Simt.Config.Most_waiters);
-    ("lowest-slot", Simt.Config.Lowest_slot) ]
-
 let run path mode coarsen threshold warps warp_size policy seed deadline yield yield_policy chaos
     replay fault_trace no_deconflict no_lint fix race_check digest check_baseline entry args =
   if deadline < 0 then usage "--deadline must be >= 0 (0 = unlimited)";
@@ -47,7 +42,7 @@ let run path mode coarsen threshold warps warp_size policy seed deadline yield y
       seed;
       fuel = deadline;
       yield_on_stall = yield;
-      yield_policy = lookup "yield policy" yield_policies yield_policy }
+      yield_policy = lookup "yield policy" Simt.Config.yield_policies yield_policy }
   in
   let options =
     { Core.Compile.mode;
@@ -177,7 +172,8 @@ let cmd =
     Arg.(
       value
       & opt string "oldest-arrival"
-      & info [ "yield-policy" ] ~doc:"Victim selection: oldest-arrival|most-waiters|lowest-slot")
+      & info [ "yield-policy" ]
+          ~doc:("Victim selection: " ^ String.concat "|" (List.map fst Simt.Config.yield_policies)))
   in
   let chaos =
     Arg.(

@@ -4,6 +4,9 @@
    from --trace FILE, or over a Unix-domain socket with --socket PATH —
    and answers each request line as soon as it is read, one response
    line per request line, in order; a blank line gets no response. A
+   line ends at its newline: an unterminated last line is a torn request
+   and is dropped unanswered at end of input, on stdin, --trace and the
+   socket alike. A
    `run` is resolved through the content-addressed cache (a kernel
    compiles only on a miss) and launched before the next line is read.
    `stats` reports the cache counters, `quit` answers `bye` and exits 0

@@ -33,7 +33,7 @@ let () =
               {
                 params = Passes.Auto_detect.default_params;
                 strategy = Passes.Deconflict.Dynamic;
-                profile = Some baseline.Core.Runner.profile;
+                profile = Some (Core.Runner.profile baseline);
               };
         }
       in

@@ -41,7 +41,7 @@ let () =
      runs in far fewer, far fuller issues. *)
   let total_lane_execs (o : Core.Runner.outcome) =
     (* lane-executions recorded per block; the kernel function holds them *)
-    let p = o.Core.Runner.profile in
+    let p = Core.Runner.profile o in
     let acc = ref 0 in
     Hashtbl.iter
       (fun _ (f : Ir.Types.func) ->
@@ -55,5 +55,4 @@ let () =
   print_endline "repacked into fewer, fuller warp issues.\n";
   (* Where did the efficiency go? Split it by region (§5.2: gains land in
      the compute-intensive common code; the prolog/epilog pays). *)
-  let stats = Core.Region_stats.measure Core.Compile.speculative spec in
-  Format.printf "with Loop Merge:  %a@." Core.Region_stats.pp stats
+  Format.printf "with Loop Merge:  %a@." Core.Region_stats.pp (Core.Region_stats.of_outcome merged)

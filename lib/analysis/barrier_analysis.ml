@@ -37,6 +37,27 @@ let live_step ~call_waits state inst =
   | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _ | Ir.Types.Rand _
   | Ir.Types.Randint _ | Ir.Types.Arrived _ -> state
 
+(* A snapshot of every function's entry-block waits, taken when applied
+   to the program. *)
+let entry_waits (p : Ir.Types.program) =
+  let tbl = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun name (f : Ir.Types.func) ->
+      let waits =
+        List.fold_left
+          (fun acc i ->
+            match i with
+            | Ir.Types.Wait b | Ir.Types.Wait_threshold (b, _) -> Int_set.add b acc
+            | Ir.Types.Join _ | Ir.Types.Rejoin _ | Ir.Types.Cancel _ | Ir.Types.Arrived _
+            | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _
+            | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _
+            | Ir.Types.Rand _ | Ir.Types.Randint _ | Ir.Types.Call _ -> acc)
+          Int_set.empty (Ir.Types.block f f.entry).insts
+      in
+      Hashtbl.replace tbl name waits)
+    p.funcs;
+  fun callee -> Option.value (Hashtbl.find_opt tbl callee) ~default:Int_set.empty
+
 type t = {
   func : Ir.Types.func;
   call_waits : string -> Int_set.t;

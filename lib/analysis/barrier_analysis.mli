@@ -23,6 +23,13 @@ type point = { block : int; index : int }
 
 type t
 
+(** [entry_waits p callee] — the barriers waited in [callee]'s entry
+    block (empty for an unknown [callee]): the waits {!Interproc}
+    propagates to predicted callees (§4.4), so in every caller a call to
+    [callee] is the wait event for them. [entry_waits p] reads [p] once,
+    when applied: later edits to [p] do not show in what it returns. *)
+val entry_waits : Ir.Types.program -> string -> Int_set.t
+
 (** [run func] computes both analyses for every barrier mentioned in
     [func].
 

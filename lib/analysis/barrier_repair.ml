@@ -110,21 +110,12 @@ let apply (p : T.program) edit =
 (* Candidate enumeration                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Slots waited in a callee's entry block: a call to it is the wait
-   event in the caller (§4.4), so it is a cancel-insertion point too. *)
-let entry_waits (p : T.program) callee =
-  match Hashtbl.find_opt p.T.funcs callee with
-  | None -> Int_set.empty
-  | Some f ->
-    List.fold_left
-      (fun acc i ->
-        match i with T.Wait b | T.Wait_threshold (b, _) -> Int_set.add b acc | _ -> acc)
-      Int_set.empty (T.block f f.entry).insts
-
 (* All program points where a thread may block on [slot]: literal waits
-   plus calls whose callee entry-waits on it. Deterministic order:
-   (func, block, index). *)
+   plus calls whose callee entry-waits on it (a call is the wait event in
+   the caller, §4.4, so it is a cancel-insertion point too).
+   Deterministic order: (func, block, index). *)
 let wait_sites (p : T.program) slot =
+  let entry_waits = Barrier_analysis.entry_waits p in
   List.concat_map
     (fun n ->
       let f = Hashtbl.find p.T.funcs n in
@@ -135,7 +126,7 @@ let wait_sites (p : T.program) slot =
           |> List.filter_map (fun (i, inst) ->
                  match inst with
                  | T.Wait x | T.Wait_threshold (x, _) when x = slot -> Some (n, bid, i)
-                 | T.Call { callee; _ } when Int_set.mem slot (entry_waits p callee) ->
+                 | T.Call { callee; _ } when Int_set.mem slot (entry_waits callee) ->
                    Some (n, bid, i)
                  | _ -> None))
         (T.block_ids f))

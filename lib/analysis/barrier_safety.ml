@@ -242,19 +242,7 @@ let branch_pruner (f : T.func) =
 let compute_summaries (p : T.program) =
   let names = T.func_names p in
   let cg = Callgraph.build p in
-  let ew_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      let f = Hashtbl.find p.T.funcs n in
-      let waits =
-        List.fold_left
-          (fun acc i ->
-            match i with T.Wait b | T.Wait_threshold (b, _) -> Int_set.add b acc | _ -> acc)
-          Int_set.empty (T.block f f.entry).insts
-      in
-      Hashtbl.replace ew_tbl n waits)
-    names;
-  let entry_waits n = Option.value (Hashtbl.find_opt ew_tbl n) ~default:Int_set.empty in
+  let entry_waits = Barrier_analysis.entry_waits p in
   let mb_tbl : (string, Int_set.t) Hashtbl.t = Hashtbl.create 8 in
   let esc_tbl : (string, Int_set.t) Hashtbl.t = Hashtbl.create 8 in
   let get tbl n = Option.value (Hashtbl.find_opt tbl n) ~default:Int_set.empty in

@@ -16,7 +16,7 @@ let other_efficiency t =
 
 (* The common-code region of a label hint: blocks dominated by the target
    block; of a callee hint: the whole callee body. *)
-let region_blocks (compiled : Compile.compiled) =
+let in_region (compiled : Compile.compiled) =
   let table = Hashtbl.create 16 in
   List.iter
     (fun (a : Passes.Specrecon.applied) ->
@@ -35,34 +35,26 @@ let region_blocks (compiled : Compile.compiled) =
       Ir.Types.iter_blocks callee (fun b ->
           Hashtbl.replace table (a.callee, b.Ir.Types.id) ()))
     compiled.interproc_applied;
-  table
+  fun ~func ~block -> Hashtbl.mem table (func, block)
 
-let measure ?(config = Simt.Config.default) options (spec : Workloads.Spec.t) =
-  let config, compiled = Runner.compile_spec config options spec in
-  let regions = region_blocks compiled in
-  let region_issues = ref 0 and region_active = ref 0 in
-  let other_issues = ref 0 and other_active = ref 0 in
-  let tracer (e : Simt.Interp.issue_event) =
-    let loc = e.where in
-    let n = List.length e.active in
-    if Hashtbl.mem regions (loc.Ir.Linear.in_func, loc.Ir.Linear.in_block) then begin
-      incr region_issues;
-      region_active := !region_active + n
-    end
-    else begin
-      incr other_issues;
-      other_active := !other_active + n
-    end
+let of_outcome (o : Runner.outcome) =
+  let in_region = in_region o.compiled in
+  let inside =
+    Array.map
+      (fun (l : Ir.Linear.location) -> in_region ~func:l.in_func ~block:l.in_block)
+      o.compiled.decoded.Ir.Decoded.linear.Ir.Linear.locs
   in
-  ignore
-    (Simt.Interp.run ~tracer config compiled.decoded ~args:spec.args
-       ~init_memory:(fun mem -> spec.init compiled.program mem));
+  let sum column side =
+    let acc = ref 0 in
+    Array.iteri (fun pc n -> if inside.(pc) = side then acc := !acc + n) column;
+    !acc
+  in
   {
-    region_issues = !region_issues;
-    region_active = !region_active;
-    other_issues = !other_issues;
-    other_active = !other_active;
-    warp_size = config.Simt.Config.warp_size;
+    region_issues = sum o.pc_issues true;
+    region_active = sum o.pc_lanes true;
+    other_issues = sum o.pc_issues false;
+    other_active = sum o.pc_lanes false;
+    warp_size = o.metrics.Simt.Metrics.warp_size;
   }
 
 let pp ppf t =

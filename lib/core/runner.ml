@@ -1,7 +1,8 @@
 type outcome = {
   compiled : Compile.compiled;
   metrics : Simt.Metrics.t;
-  profile : Analysis.Profile.t;
+  pc_issues : int array;
+  pc_lanes : int array;
   memory : Simt.Memsys.t;
   check : (unit, string) result;
 }
@@ -21,21 +22,32 @@ let launch ?(config = Simt.Config.default) ?(init = fun _ _ -> ()) ?faults ?race
   {
     compiled;
     metrics = result.Simt.Interp.metrics;
-    profile = result.Simt.Interp.profile;
+    pc_issues = result.Simt.Interp.pc_issues;
+    pc_lanes = result.Simt.Interp.pc_lanes;
     memory = result.Simt.Interp.memory;
     check = Ok ();
   }
 
-let compile_spec config options (spec : Workloads.Spec.t) =
+(* A block's lane executions are the lanes issued at its first pc. *)
+let profile o =
+  let p = Analysis.Profile.empty () in
+  let locs = o.compiled.Compile.decoded.Ir.Decoded.linear.Ir.Linear.locs in
+  Array.iteri
+    (fun pc n ->
+      let { Ir.Linear.in_func; in_block } = locs.(pc) in
+      if n > 0 && (pc = 0 || locs.(pc - 1) <> locs.(pc)) then
+        Analysis.Profile.record p ~func:in_func ~block:in_block ~count:n)
+    o.pc_lanes;
+  p
+
+let run_spec ?(config = Simt.Config.default) options (spec : Workloads.Spec.t) =
   let options =
     match options.Compile.coarsen with
     | Some _ -> options
     | None -> { options with Compile.coarsen = spec.coarsen }
   in
-  (spec.tweak_config config, Compile.compile options ~source:spec.source)
-
-let run_spec ?(config = Simt.Config.default) options (spec : Workloads.Spec.t) =
-  let config, compiled = compile_spec config options spec in
+  let config = spec.tweak_config config in
+  let compiled = Compile.compile options ~source:spec.source in
   let outcome = launch ~config ~init:spec.init compiled ~args:spec.args in
   { outcome with check = spec.check compiled.Compile.program outcome.memory }
 

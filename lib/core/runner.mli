@@ -8,10 +8,14 @@
     differential tier leans on. {!run_spec} and {!run_source} are the
     one-shot conveniences composing compile + launch. *)
 
+(** [pc_issues] and [pc_lanes] are the run's count table
+    ({!Simt.Interp.result}): per pc of [compiled.decoded], the warp
+    instructions issued there and the active lanes summed over them. *)
 type outcome = {
   compiled : Compile.compiled;
   metrics : Simt.Metrics.t;
-  profile : Analysis.Profile.t;
+  pc_issues : int array;
+  pc_lanes : int array;
   memory : Simt.Memsys.t;
   check : (unit, string) result; (* the workload's output sanity check *)
 }
@@ -21,6 +25,11 @@ val efficiency : outcome -> float
 
 (** Simulated cycles of the run. *)
 val cycles : outcome -> int
+
+(** [profile o] — the run's block profile, built from the count table:
+    each basic block is credited the lanes issued at its first pc, the
+    lane executions the §4.5 profile-guided detector reads. *)
+val profile : outcome -> Analysis.Profile.t
 
 (** [launch ?config ?init ?faults ?entry compiled ~args] executes a
     compiled program: [init] fills global memory before the launch
@@ -39,17 +48,11 @@ val launch :
   args:Ir.Types.value list ->
   outcome
 
-(** [compile_spec config options spec] prepares a workload spec for a
-    launch: it compiles [spec.source] under [options], with
-    [spec.coarsen] applied unless [options] already requests
-    coarsening, and returns [config] adjusted by [spec.tweak_config]
-    with the compiled artifact. *)
-val compile_spec :
-  Simt.Config.t -> Compile.options -> Workloads.Spec.t -> Simt.Config.t * Compile.compiled
-
-(** [run_spec ?config options spec] launches {!compile_spec}'s artifact
-    with [spec.init] and [spec.args], and checks the output with
-    [spec.check]. *)
+(** [run_spec ?config options spec] compiles [spec.source] under
+    [options], with [spec.coarsen] applied unless [options] already
+    requests coarsening, launches it under [config] adjusted by
+    [spec.tweak_config] with [spec.init] and [spec.args], and checks the
+    output with [spec.check]. *)
 val run_spec : ?config:Simt.Config.t -> Compile.options -> Workloads.Spec.t -> outcome
 
 (** [run_source ?config ?init options ~source ~args] for ad-hoc programs

@@ -47,16 +47,15 @@ let opcode_name = function
   | Jump -> "jump"
   | Exit -> "exit"
 
-(* Latency classes: which Config.latencies field the slot's static issue
-   latency comes from. *)
-let lc_alu = 0
-let lc_float = 1
-let lc_special = 2
-let lc_branch = 3
-let lc_barrier = 4
-let lc_call = 5
-let lc_rand = 6
-let lc_mem = 7
+type lclass =
+  | Lc_alu
+  | Lc_float
+  | Lc_special
+  | Lc_branch
+  | Lc_barrier
+  | Lc_call
+  | Lc_rand
+  | Lc_mem
 
 type call = {
   centry : int;
@@ -72,14 +71,11 @@ type t = {
   a : int array;
   b : int array;
   c : int array;
-  lclass : int array;
+  lclass : lclass array;
   bop : T.binop array;
   uop : T.unop array;
   vals : T.value array;
   calls : call array;
-  bslot : int array;
-  bfunc : string array;
-  bblock : int array;
 }
 
 let enc_is_imm e = e land 1 <> 0
@@ -91,7 +87,7 @@ let decode (linear : L.t) =
   let a = Array.make n 0 in
   let b = Array.make n 0 in
   let c = Array.make n 0 in
-  let lclass = Array.make n lc_alu in
+  let lclass = Array.make n Lc_alu in
   let bop = Array.make n T.Add in
   let uop = Array.make n T.Neg in
   (* Immediates and calls are appended in pc order, so decoding is a pure
@@ -122,13 +118,13 @@ let decode (linear : L.t) =
         b.(pc) <- enc x;
         c.(pc) <- enc y;
         bop.(pc) <- o;
-        lclass.(pc) <- (if T.is_float_op o then lc_float else lc_alu)
+        lclass.(pc) <- (if T.is_float_op o then Lc_float else Lc_alu)
       | T.Un (o, d, x) ->
         op.(pc) <- Un;
         a.(pc) <- d;
         b.(pc) <- enc x;
         uop.(pc) <- o;
-        lclass.(pc) <- (if T.is_special_unop o then lc_special else lc_alu)
+        lclass.(pc) <- (if T.is_special_unop o then Lc_special else Lc_alu)
       | T.Mov (d, x) ->
         op.(pc) <- Mov;
         a.(pc) <- d;
@@ -137,12 +133,12 @@ let decode (linear : L.t) =
         op.(pc) <- Load;
         a.(pc) <- d;
         b.(pc) <- enc x;
-        lclass.(pc) <- lc_mem
+        lclass.(pc) <- Lc_mem
       | T.Store (x, v) ->
         op.(pc) <- Store;
         a.(pc) <- enc x;
         b.(pc) <- enc v;
-        lclass.(pc) <- lc_mem
+        lclass.(pc) <- Lc_mem
       | T.Tid d ->
         op.(pc) <- Tid;
         a.(pc) <- d
@@ -155,38 +151,38 @@ let decode (linear : L.t) =
       | T.Rand d ->
         op.(pc) <- Rand;
         a.(pc) <- d;
-        lclass.(pc) <- lc_rand
+        lclass.(pc) <- Lc_rand
       | T.Randint (d, x) ->
         op.(pc) <- Randint;
         a.(pc) <- d;
         b.(pc) <- enc x;
-        lclass.(pc) <- lc_rand
+        lclass.(pc) <- Lc_rand
       | T.Join s ->
         op.(pc) <- Join;
         a.(pc) <- s;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Rejoin s ->
         op.(pc) <- Rejoin;
         a.(pc) <- s;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Wait s ->
         op.(pc) <- Wait;
         a.(pc) <- s;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Wait_threshold (s, k) ->
         op.(pc) <- Wait_threshold;
         a.(pc) <- s;
         b.(pc) <- k;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Cancel s ->
         op.(pc) <- Cancel;
         a.(pc) <- s;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Arrived (d, s) ->
         op.(pc) <- Arrived;
         a.(pc) <- d;
         b.(pc) <- s;
-        lclass.(pc) <- lc_barrier
+        lclass.(pc) <- Lc_barrier
       | T.Call _ ->
         (* The linearizer turns every Call into Lcall. *)
         invalid_arg (Printf.sprintf "Decoded.decode: raw call at pc %d" pc))
@@ -201,42 +197,23 @@ let decode (linear : L.t) =
             cret = (match ret with Some r -> r | None -> -1);
             ccallee = callee;
           };
-      lclass.(pc) <- lc_call
+      lclass.(pc) <- Lc_call
     | L.Lret x ->
       op.(pc) <- Ret;
       a.(pc) <- (match x with Some o -> enc o | None -> -1);
-      lclass.(pc) <- lc_call
+      lclass.(pc) <- Lc_call
     | L.Lbr { cond; target } ->
       op.(pc) <- Br;
       a.(pc) <- enc cond;
       b.(pc) <- target;
-      lclass.(pc) <- lc_branch
+      lclass.(pc) <- Lc_branch
     | L.Ljump target ->
       op.(pc) <- Jump;
       a.(pc) <- target;
-      lclass.(pc) <- lc_branch
+      lclass.(pc) <- Lc_branch
     | L.Lexit ->
       op.(pc) <- Exit;
-      lclass.(pc) <- lc_branch
-  done;
-  (* Block-entry slots: the profiler counts lane-executions per basic
-     block, so resolve each block-entry pc to a dense slot id here and
-     let the interpreter bump a flat int array instead of hashing a
-     (string, int) key per issue. *)
-  let bslot = Array.make n (-1) in
-  let bfunc = ref [] and bblock = ref [] and n_slots = ref 0 in
-  for pc = 0 to n - 1 do
-    let loc = linear.L.locs.(pc) in
-    if
-      pc = 0
-      || loc.L.in_func <> linear.L.locs.(pc - 1).L.in_func
-      || loc.L.in_block <> linear.L.locs.(pc - 1).L.in_block
-    then begin
-      bslot.(pc) <- !n_slots;
-      bfunc := loc.L.in_func :: !bfunc;
-      bblock := loc.L.in_block :: !bblock;
-      incr n_slots
-    end
+      lclass.(pc) <- Lc_branch
   done;
   {
     linear;
@@ -249,9 +226,6 @@ let decode (linear : L.t) =
     uop;
     vals = Array.of_list (List.rev !vals);
     calls = Array.of_list (List.rev !calls);
-    bslot;
-    bfunc = Array.of_list (List.rev !bfunc);
-    bblock = Array.of_list (List.rev !bblock);
   }
 
 (* ---- dump ---- *)
@@ -263,15 +237,14 @@ let pp_enc t ppf e =
   else Format.fprintf ppf "r%d" (enc_index e)
 
 let lclass_name = function
-  | 0 -> "alu"
-  | 1 -> "float"
-  | 2 -> "special"
-  | 3 -> "branch"
-  | 4 -> "barrier"
-  | 5 -> "call"
-  | 6 -> "rand"
-  | 7 -> "mem"
-  | _ -> "?"
+  | Lc_alu -> "alu"
+  | Lc_float -> "float"
+  | Lc_special -> "special"
+  | Lc_branch -> "branch"
+  | Lc_barrier -> "barrier"
+  | Lc_call -> "call"
+  | Lc_rand -> "rand"
+  | Lc_mem -> "mem"
 
 let pp ppf t =
   Format.fprintf ppf "decoded: %d slots, %d imms, %d calls@." (Array.length t.op)

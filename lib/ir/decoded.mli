@@ -63,24 +63,19 @@ val opcode_name : opcode -> string
 (** {2 Latency classes}
 
     Which {!Simt.Config.latencies} field a slot's static issue latency
-    comes from. Memory ops carry {!lc_mem}: their cost is dynamic
+    comes from. Memory ops carry [Lc_mem]: their cost is dynamic
     (coalescing), the class is informational. *)
+type lclass =
+  | Lc_alu
+  | Lc_float
+  | Lc_special
+  | Lc_branch
+  | Lc_barrier
+  | Lc_call
+  | Lc_rand
+  | Lc_mem
 
-val lc_alu : int
-
-val lc_float : int
-
-val lc_special : int
-
-val lc_branch : int
-
-val lc_barrier : int
-
-val lc_call : int
-
-val lc_rand : int
-
-val lc_mem : int
+val lclass_name : lclass -> string
 
 (** One [Lcall] site, fully resolved: [centry] is the callee's absolute
     entry pc, [cn_regs] the callee frame size (already [max 1]),
@@ -101,18 +96,11 @@ type t = {
   a : int array;  (** field 1 (see opcode table) *)
   b : int array;  (** field 2 *)
   c : int array;  (** field 3 *)
-  lclass : int array;  (** latency class per slot *)
+  lclass : lclass array;  (** latency class per slot *)
   bop : Types.binop array;  (** sub-opcode for [Bin] slots *)
   uop : Types.unop array;  (** sub-opcode for [Un] slots *)
   vals : Types.value array;  (** immediate pool *)
   calls : call array;  (** call descriptors, indexed by field [a] *)
-  bslot : int array;
-      (** per-pc profile slot: [-1] unless the pc starts a basic block,
-          else an index into [bfunc]/[bblock] — the interpreter
-          accumulates per-block lane counts in a flat array keyed by
-          these slots *)
-  bfunc : string array;  (** slot -> enclosing function name *)
-  bblock : int array;  (** slot -> basic-block id *)
 }
 
 (** Encoded-operand accessors (tests, dumps). *)

@@ -10,29 +10,6 @@ type report = {
   unresolved : (string * T.barrier * T.barrier) list;
 }
 
-(* Barriers whose wait sits at a function's entry block — i.e. the waits
-   {!Interproc} propagates to predicted callees (§4.4). In every caller,
-   a call to such a function is the wait event for those barriers, both
-   for conflict detection and for dynamic-cancel placement. *)
-let entry_waits (p : T.program) =
-  let tbl = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun name (f : T.func) ->
-      let waits =
-        List.fold_left
-          (fun acc i ->
-            match i with
-            | T.Wait b | T.Wait_threshold (b, _) -> Analysis.Sets.Int_set.add b acc
-            | T.Join _ | T.Rejoin _ | T.Cancel _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _
-            | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _
-            | T.Call _ -> acc)
-          Analysis.Sets.Int_set.empty (T.block f f.entry).insts
-      in
-      Hashtbl.replace tbl name waits)
-    p.funcs;
-  fun callee ->
-    Option.value (Hashtbl.find_opt tbl callee) ~default:Analysis.Sets.Int_set.empty
-
 (* Insert [Cancel demoted] immediately before every wait on [kept] — a
    literal wait, or a call whose callee waits on [kept] at entry. *)
 let dynamic_cancel (f : T.func) ~call_waits ~kept ~demoted =
@@ -52,7 +29,7 @@ let dynamic_cancel (f : T.func) ~call_waits ~kept ~demoted =
 
 let run ?(model_call_waits = true) (p : T.program) ~strategy ~priority =
   let call_waits =
-    if model_call_waits then entry_waits p else fun _ -> Analysis.Sets.Int_set.empty
+    if model_call_waits then BA.entry_waits p else fun _ -> Analysis.Sets.Int_set.empty
   in
   let resolutions = ref [] in
   let unresolved = ref [] in

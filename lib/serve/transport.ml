@@ -5,7 +5,10 @@
    Both answer each request line as soon as it is read, through one
    handler, [handle_line]: a blank line gets no response, any other line
    gets exactly one, written before the next line is looked at, and the
-   [bye] that [quit] or [shutdown] earns ends the stream. The socket's
+   [bye] that [quit] or [shutdown] earns ends the stream. Both split
+   their input into lines with one function, [consume], so they share
+   one rule for a torn request: bytes after the last newline wait for
+   theirs, and are dropped unanswered if the input ends first. The socket's
    single-threaded select loop answers every complete line a read
    delivered before it looks at the next connection's bytes, so every
    connection sees the byte-identical response stream the channel front
@@ -53,6 +56,25 @@ let handle_line server st line =
     | _ -> ()
   end
 
+(* Answer every complete line in [buf], split out of one snapshot by
+   offset, and keep only the tail: a partial line, answered once its
+   newline arrives. Returns whether a line was answered. *)
+let consume server st buf =
+  let data = Buffer.contents buf in
+  let rec split start =
+    match String.index_from_opt data start '\n' with
+    | Some i when st.alive ->
+      handle_line server st (String.sub data start (i - start));
+      split (i + 1)
+    | _ -> start
+  in
+  let start = split 0 in
+  if start > 0 then begin
+    Buffer.clear buf;
+    Buffer.add_substring buf data start (String.length data - start)
+  end;
+  start > 0
+
 let serve_channel server ic oc =
   let st =
     {
@@ -63,11 +85,19 @@ let serve_channel server ic oc =
       alive = true;
     }
   in
-  try
-    while st.alive do
-      handle_line server st (input_line ic)
-    done
-  with End_of_file -> ()
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  (* [input] returns what one read delivers, so a line is answered as
+     soon as it arrives, however long the input stays open after it. *)
+  let rec loop () =
+    if st.alive then
+      match input ic chunk 0 (Bytes.length chunk) with
+      | 0 -> () (* end of input: a partial line left in [buf] is dropped unanswered *)
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        ignore (consume server st buf);
+        loop ()
+  in
+  loop ()
 
 (* ---- the socket front end ---- *)
 
@@ -86,28 +116,6 @@ let write_all fd s =
     | written -> sent := !sent + written
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
-
-(* Answer every complete line in the buffer, split out of one snapshot
-   by offset, and keep only the tail. That tail is a partial line whose
-   age runs the read-timeout clock, restarted whenever a line was
-   answered. *)
-let consume server conn =
-  let data = Buffer.contents conn.buf in
-  let rec split start =
-    match String.index_from_opt data start '\n' with
-    | Some i when conn.st.alive ->
-      handle_line server conn.st (String.sub data start (i - start));
-      split (i + 1)
-    | _ -> start
-  in
-  let start = split 0 in
-  if start > 0 then begin
-    Buffer.clear conn.buf;
-    Buffer.add_substring conn.buf data start (String.length data - start)
-  end;
-  if Buffer.length conn.buf = 0 then conn.partial_since <- None
-  else if start > 0 || conn.partial_since = None then
-    conn.partial_since <- Some (Unix.gettimeofday ())
 
 let reject conn kind msg =
   respond conn.st (P.Error { rid = -1; code = Core.Cli.exit_code (Core.Cli.Usage msg); kind; msg });
@@ -142,7 +150,12 @@ let serve ?(read_timeout = 30.0) ?(max_line = 1_000_000) server ~socket_path () 
       c.st.alive <- false
     | n ->
       Buffer.add_subbytes c.buf chunk 0 n;
-      consume server c;
+      let answered = consume server c.st c.buf in
+      (* The partial line left behind runs the read-timeout clock,
+         restarted whenever a line was answered. *)
+      if Buffer.length c.buf = 0 then c.partial_since <- None
+      else if answered || c.partial_since = None then
+        c.partial_since <- Some (Unix.gettimeofday ());
       if c.st.alive && Buffer.length c.buf > max_line then
         reject c "overflow" (Printf.sprintf "request line exceeds %d bytes" max_line)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -4,10 +4,12 @@
 
     Both answer each request line as soon as it is read, one response
     line per non-blank request line, in order: a blank line gets no
-    response, and [quit] or [shutdown] ends the stream. So a socket
-    connection's response stream is byte-identical to what the same
-    lines produce over a channel, regardless of how other connections
-    interleave.
+    response, and [quit] or [shutdown] ends the stream. A request line
+    ends at its newline. Bytes after the last newline are a torn request:
+    they wait for their newline, and if the input ends first they are
+    dropped unanswered, by both front ends. So a socket connection's
+    response stream is byte-identical to what the same bytes produce
+    over a channel, regardless of how other connections interleave.
 
     The socket front end is a single-threaded select loop serving any
     number of concurrent client connections over one shared
@@ -25,8 +27,8 @@
     0). SIGPIPE is set to ignore. *)
 
 (** [serve_channel server ic oc] answers the request lines read from
-    [ic] on [oc], each before the next is read, until [quit],
-    [shutdown] or end of input. *)
+    [ic] on [oc], each as soon as its newline arrives, until [quit],
+    [shutdown] or end of input; an unterminated last line is dropped. *)
 val serve_channel : Server.t -> in_channel -> out_channel -> unit
 
 (** [serve server ~socket_path ()] binds, listens, and serves until the

@@ -7,6 +7,13 @@ let policy_name policy = fst (List.find (fun (_, p) -> p = policy) policies)
 
 type yield_policy = Oldest_arrival | Most_waiters | Lowest_slot
 
+let yield_policies =
+  [
+    ("oldest-arrival", Oldest_arrival);
+    ("most-waiters", Most_waiters);
+    ("lowest-slot", Lowest_slot);
+  ]
+
 type latencies = {
   alu : int;
   float_op : int;

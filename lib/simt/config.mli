@@ -30,6 +30,9 @@ type yield_policy =
   | Most_waiters  (** the barrier releasing the most blocked lanes *)
   | Lowest_slot  (** the lowest slot id with blocked lanes *)
 
+(** Every yield policy by the name srrun's [--yield-policy] spells it. *)
+val yield_policies : (string * yield_policy) list
+
 type latencies = {
   alu : int;
   float_op : int;

@@ -21,7 +21,8 @@ type yield_event = {
 type result = {
   metrics : Metrics.t;
   memory : Memsys.t;
-  profile : Analysis.Profile.t;
+  pc_issues : int array;
+  pc_lanes : int array;
   yield_log : yield_event list;
 }
 
@@ -109,7 +110,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     lprog.float_regions;
   init_memory memory;
   let metrics = Metrics.create ~warp_size:config.warp_size in
-  let profile = Analysis.Profile.empty () in
   let yield_log = ref [] in
   (* The decoded descriptor columns, hoisted so each issue pays array
      loads, never record-field walks. *)
@@ -122,22 +122,23 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
      slots keep a placeholder; their cost is dynamic (coalescing). *)
   let lat_tbl =
     Array.map
-      (fun cls ->
-        if cls = D.lc_alu then lat.alu
-        else if cls = D.lc_float then lat.float_op
-        else if cls = D.lc_special then lat.special
-        else if cls = D.lc_branch then lat.branch
-        else if cls = D.lc_barrier then lat.barrier
-        else if cls = D.lc_call then lat.call
-        else if cls = D.lc_rand then lat.rand
-        else 0)
+      (function
+        | D.Lc_alu -> lat.alu
+        | D.Lc_float -> lat.float_op
+        | D.Lc_special -> lat.special
+        | D.Lc_branch -> lat.branch
+        | D.Lc_barrier -> lat.barrier
+        | D.Lc_call -> lat.call
+        | D.Lc_rand -> lat.rand
+        | D.Lc_mem -> 0)
       dprog.D.lclass
   in
-  (* Per-block lane counts, keyed by the decode-time block slots; folded
-     into [profile] once at the end of the run so the hot loop pays one
-     int-array bump instead of a hashtable update per block entry. *)
-  let bslot = dprog.D.bslot in
-  let prof_counts = Array.make (max (Array.length dprog.D.bfunc) 1) 0 in
+  (* The run's one count of what issued: per pc, the warp instructions
+     issued there and the active lanes summed over them. Every per-issue
+     metric and every per-block or per-region figure is a fold over
+     these two columns, so the loop counts each issue once. *)
+  let pc_issues = Array.make (Array.length dcode) 0 in
+  let pc_lanes = Array.make (Array.length dcode) 0 in
   let make_thread wid lane =
     let regs = Array.make (max entry_info.n_regs 1) (T.I 0) in
     List.iteri (fun i v -> regs.(i) <- v) args;
@@ -454,7 +455,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     let op = dcode.(pc) and fa = da.(pc) and fb = db.(pc) in
     match op with
     | D.Load | D.Store ->
-      metrics.mem_accesses <- metrics.mem_accesses + 1;
       (* load: a=dst b=addr; store: a=addr b=value *)
       let addr = if op = D.Load then fb else fa in
       let n = ref 0 in
@@ -493,7 +493,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         bits := !bits land (!bits - 1)
       done
     | D.Wait | D.Wait_threshold ->
-      metrics.barrier_waits <- metrics.barrier_waits + 1;
       let threshold = if op = D.Wait then None else Some fb in
       let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
       let bits = ref (Mask.bits active) in
@@ -614,10 +613,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         bits := !bits land (!bits - 1)
       done;
       (match op with
-      | D.Join | D.Rejoin -> metrics.barrier_joins <- metrics.barrier_joins + 1
-      | D.Cancel ->
-        metrics.barrier_cancels <- metrics.barrier_cancels + 1;
-        release_fired w fa
+      | D.Cancel -> release_fired w fa
       (* a divergent branch outcome, or returns to different call sites,
          split the convergence group *)
       | D.Ret | D.Br -> regroup w active
@@ -749,15 +745,14 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
                match budget with
                | Issue_cap -> Printf.sprintf "issue budget %d exhausted" limit
                | Fuel -> Printf.sprintf "fuel %d exhausted" limit ));
-      metrics.active_sum <- metrics.active_sum + Mask.count active;
+      pc_issues.(pc) <- pc_issues.(pc) + 1;
+      pc_lanes.(pc) <- pc_lanes.(pc) + Mask.count active;
       (match tracer with
       | Some observe ->
         observe
           { at_cycle = !cycle; warp = w.wid; pc; active = Mask.to_list active;
             where = lprog.locs.(pc) }
       | None -> ());
-      let s = bslot.(pc) in
-      if s >= 0 then prof_counts.(s) <- prof_counts.(s) + Mask.count active;
       (try execute w pc active with
       | Valops.Type_error msg ->
         raise (Runtime_error (Printf.sprintf "type error at pc %d (warp %d): %s" pc w.wid msg))
@@ -803,13 +798,18 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       end
   done;
   metrics.cycles <- !cycle;
+  (* Fold the per-issue metrics out of the count table by opcode. *)
   Array.iteri
-    (fun s c ->
-      if c > 0 then
-        Analysis.Profile.record profile ~func:dprog.D.bfunc.(s) ~block:dprog.D.bblock.(s)
-          ~count:c)
-    prof_counts;
+    (fun pc n ->
+      metrics.active_sum <- metrics.active_sum + pc_lanes.(pc);
+      match dcode.(pc) with
+      | D.Load | D.Store -> metrics.mem_accesses <- metrics.mem_accesses + n
+      | D.Wait | D.Wait_threshold -> metrics.barrier_waits <- metrics.barrier_waits + n
+      | D.Join | D.Rejoin -> metrics.barrier_joins <- metrics.barrier_joins + n
+      | D.Cancel -> metrics.barrier_cancels <- metrics.barrier_cancels + n
+      | _ -> ())
+    pc_issues;
   (match faults with
   | Some f -> metrics.faults_injected <- List.length (Faults.events f)
   | None -> ());
-  { metrics; memory; profile; yield_log = List.rev !yield_log }
+  { metrics; memory; pc_issues; pc_lanes; yield_log = List.rev !yield_log }

@@ -62,10 +62,16 @@ type yield_event = {
   abandoned : int list;
 }
 
+(** A finished run. [pc_issues] and [pc_lanes] are its count table: per
+    pc, the warp instructions issued there and the active lanes summed
+    over them. Each issue is counted there once; [metrics]' [active_sum],
+    [mem_accesses], [barrier_joins], [barrier_waits] and [barrier_cancels]
+    are folded out of it by opcode after the loop. *)
 type result = {
   metrics : Metrics.t;
   memory : Memsys.t;
-  profile : Analysis.Profile.t; (* lane-executions per basic block *)
+  pc_issues : int array;
+  pc_lanes : int array;
   yield_log : yield_event list; (* chronological; [] unless yields fired *)
 }
 
@@ -88,7 +94,9 @@ type issue_event = {
 
     [args] are the kernel parameters (uniform across threads);
     [init_memory] fills global tables before the launch;
-    [tracer], when given, observes every issued warp instruction;
+    [tracer], when given, observes every issued warp instruction, for
+    exhibits and tests that need the schedule itself (the count table
+    already holds every per-pc total);
     [faults], when given, injects scheduler, memory-latency and barrier
     faults at the injector's decision points ({!Faults});
     [race], when given, records every load/store into the shadow-memory

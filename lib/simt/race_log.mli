@@ -1,5 +1,5 @@
 (** Shadow-memory data-race logger — the dynamic ground truth behind
-    {!Analysis.Race_safety} (surfaced as [srrun --race-check] and the
+    [Analysis.Race_safety] (surfaced as [srrun --race-check] and the
     fuzz pipeline's race oracles).
 
     Detection model: each warp carries a {e barrier-interval id}, bumped

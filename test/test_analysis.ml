@@ -541,17 +541,6 @@ let test_conflict_held_to_exit () =
   check pairs "sweep" [ (b1, b2) ] (Analysis.Barrier_analysis.conflicts ba);
   check pairs "oracle" [ (b1, b2) ] (conflicts_ref ba f)
 
-(* Barriers waited on in a callee's entry block, the §4.4 call-as-wait
-   events, so the sweep's call handling is exercised too. *)
-let entry_waits (p : T.program) callee =
-  match Hashtbl.find_opt p.T.funcs callee with
-  | None -> ISet.empty
-  | Some f ->
-    List.fold_left
-      (fun acc i ->
-        match i with T.Wait b | T.Wait_threshold (b, _) -> ISet.add b acc | _ -> acc)
-      ISet.empty (T.block f f.T.entry).T.insts
-
 (* The programs Deconflict would see, where conflicts exist: the first
    200 generated programs at seed 17 and the registry, compiled under
    specrecon and auto with deconfliction and cleanup off. *)
@@ -593,7 +582,10 @@ let test_conflicts_reference () =
                     (Analysis.Barrier_analysis.conflicts ba))
                 [
                   Analysis.Barrier_analysis.run f;
-                  Analysis.Barrier_analysis.run ~call_waits:(entry_waits p) f;
+                  (* with the §4.4 call-as-wait events, so the sweep's
+                     call handling is exercised too *)
+                  Analysis.Barrier_analysis.run
+                    ~call_waits:(Analysis.Barrier_analysis.entry_waits p) f;
                 ])
             p.T.funcs;
           if !found then incr with_conflicts)

@@ -15,6 +15,7 @@ let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_string = check Alcotest.string
+let check_lclass msg want got = check_string msg (D.lclass_name want) (D.lclass_name got)
 let small_config = { Simt.Config.default with Simt.Config.n_warps = 1 }
 
 (* ---- branch targets ---- *)
@@ -44,7 +45,7 @@ let test_backward_branch () =
         check_int "br resolves to the loop head" pc_loop d.D.b.(pc);
         check_bool "target is backward" true (d.D.b.(pc) < pc);
         check_bool "cond is a register operand" false (D.enc_is_imm d.D.a.(pc));
-        check_int "branch latency class" D.lc_branch d.D.lclass.(pc)
+        check_lclass "branch latency class" D.Lc_branch d.D.lclass.(pc)
       end)
     d.D.op;
   check_bool "decoded program contains a br" true !found
@@ -167,9 +168,7 @@ let test_barrier_operands () =
       (D.opcode_name dp.D.op.(pc));
     check_int (Printf.sprintf "pc %d field a" pc) a dp.D.a.(pc);
     if b >= 0 then check_int (Printf.sprintf "pc %d field b" pc) b dp.D.b.(pc);
-    check_int
-      (Printf.sprintf "pc %d latency class" pc)
-      D.lc_barrier dp.D.lclass.(pc)
+    check_lclass (Printf.sprintf "pc %d latency class" pc) D.Lc_barrier dp.D.lclass.(pc)
   in
   expect 0 D.Join b0 (-1);
   (* slot in [a], threshold in [b] — both plain ints, not encoded operands *)
@@ -197,36 +196,9 @@ let test_immediate_pool () =
     (d.D.vals = [| T.I 7; T.F 1.5; T.F 2.5; T.I 7 |]);
   check_bool "mov src is an immediate" true (D.enc_is_imm d.D.b.(0));
   check_int "mov src pool slot" 0 (D.enc_index d.D.b.(0));
-  check_int "fadd latency class" D.lc_float d.D.lclass.(1);
+  check_lclass "fadd latency class" D.Lc_float d.D.lclass.(1);
   check_bool "reg operand tagged as register" false (D.enc_is_imm d.D.b.(2));
   check_int "reg operand index" x (D.enc_index d.D.b.(2))
-
-(* ---- block-entry profile slots ---- *)
-
-let test_profile_slots () =
-  let p, _ = multi_kernel_program () in
-  let l = L.linearize p in
-  let d = D.decode l in
-  let n_slots = Array.length d.D.bfunc in
-  check_int "bfunc/bblock same length" n_slots (Array.length d.D.bblock);
-  let seen = ref (-1) in
-  Array.iteri
-    (fun pc s ->
-      let loc = l.L.locs.(pc) in
-      let is_entry =
-        pc = 0
-        || loc.L.in_func <> l.L.locs.(pc - 1).L.in_func
-        || loc.L.in_block <> l.L.locs.(pc - 1).L.in_block
-      in
-      check_bool (Printf.sprintf "pc %d slot iff block entry" pc) is_entry (s >= 0);
-      if s >= 0 then begin
-        check_int (Printf.sprintf "pc %d slots dense" pc) (!seen + 1) s;
-        seen := s;
-        check_string (Printf.sprintf "pc %d slot func" pc) loc.L.in_func d.D.bfunc.(s);
-        check_int (Printf.sprintf "pc %d slot block" pc) loc.L.in_block d.D.bblock.(s)
-      end)
-    d.D.bslot;
-  check_int "every slot assigned" n_slots (!seen + 1)
 
 (* ---- listing dump (what `srcc --dump decoded` prints) ---- *)
 
@@ -274,7 +246,6 @@ let tests =
         Alcotest.test_case "multi-kernel ?entry" `Quick test_entry_selection;
         Alcotest.test_case "barrier-slot operands" `Quick test_barrier_operands;
         Alcotest.test_case "immediate pool" `Quick test_immediate_pool;
-        Alcotest.test_case "block-entry profile slots" `Quick test_profile_slots;
         Alcotest.test_case "listing dump" `Quick test_pp_listing;
       ] );
   ]

@@ -199,7 +199,7 @@ let test_profile_guided_auto () =
           {
             params = Passes.Auto_detect.default_params;
             strategy = Passes.Deconflict.Dynamic;
-            profile = Some baseline.Core.Runner.profile;
+            profile = Some (Core.Runner.profile baseline);
           };
     }
   in

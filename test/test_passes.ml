@@ -486,8 +486,11 @@ let test_region_stats_shift () =
   (* §5.2: the efficiency gain lands in the common-code region; the rest
      of the program pays for it. *)
   let spec_workload = Workloads.Registry.find "pathtracer" in
-  let baseline = Core.Region_stats.measure Core.Compile.baseline spec_workload in
-  let merged = Core.Region_stats.measure Core.Compile.speculative spec_workload in
+  let measure options =
+    Core.Region_stats.of_outcome (Core.Runner.run_spec options spec_workload)
+  in
+  let baseline = measure Core.Compile.baseline in
+  let merged = measure Core.Compile.speculative in
   (* baseline compilation carries no hints: everything counts as other *)
   check_int "baseline has no region issues" 0 baseline.Core.Region_stats.region_issues;
   check_bool "region work exists under specrecon" true

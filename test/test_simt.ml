@@ -538,6 +538,56 @@ kernel k() {
   check_int "one event per issue" result.Simt.Interp.metrics.Simt.Metrics.issues !issues;
   check_int "active sum matches" result.Simt.Interp.metrics.Simt.Metrics.active_sum !active
 
+let test_count_table () =
+  (* The run's count table against one traced launch of a registry cell
+     with an interprocedural hint, so the profile spans two functions and
+     the region split has both sides. The tracer's events are the
+     reference for both folds over the table: the block profile credits
+     each block the lanes issued at its first pc, and the region split
+     sorts every issue by whether its block lies in a hint's region. *)
+  let spec = Workloads.Registry.find "common-call" in
+  let compiled =
+    Core.Compile.compile Core.Compile.speculative ~source:spec.Workloads.Spec.source
+  in
+  let locs = compiled.Core.Compile.decoded.Ir.Decoded.linear.Ir.Linear.locs in
+  let in_region = Core.Region_stats.in_region compiled in
+  let profile = Analysis.Profile.empty () in
+  let split = Array.make 4 0 (* region issues, region lanes, other issues, other lanes *) in
+  let tracer (e : Simt.Interp.issue_event) =
+    let n = List.length e.Simt.Interp.active in
+    let { Ir.Linear.in_func; in_block } = e.Simt.Interp.where in
+    if e.Simt.Interp.pc = 0 || locs.(e.Simt.Interp.pc - 1) <> e.Simt.Interp.where then
+      Analysis.Profile.record profile ~func:in_func ~block:in_block ~count:n;
+    let side = if in_region ~func:in_func ~block:in_block then 0 else 2 in
+    split.(side) <- split.(side) + 1;
+    split.(side + 1) <- split.(side + 1) + n
+  in
+  let r =
+    Simt.Interp.run ~tracer
+      (spec.Workloads.Spec.tweak_config Simt.Config.default)
+      compiled.Core.Compile.decoded ~args:spec.Workloads.Spec.args
+      ~init_memory:(spec.Workloads.Spec.init compiled.Core.Compile.program)
+  in
+  let outcome =
+    {
+      Core.Runner.compiled;
+      metrics = r.Simt.Interp.metrics;
+      pc_issues = r.Simt.Interp.pc_issues;
+      pc_lanes = r.Simt.Interp.pc_lanes;
+      memory = r.Simt.Interp.memory;
+      check = Ok ();
+    }
+  in
+  let pp_profile = Format.asprintf "%a" Analysis.Profile.pp in
+  check Alcotest.string "block profile" (pp_profile profile)
+    (pp_profile (Core.Runner.profile outcome));
+  let stats = Core.Region_stats.of_outcome outcome in
+  check_int "region issues" split.(0) stats.Core.Region_stats.region_issues;
+  check_int "region lanes" split.(1) stats.Core.Region_stats.region_active;
+  check_int "other issues" split.(2) stats.Core.Region_stats.other_issues;
+  check_int "other lanes" split.(3) stats.Core.Region_stats.other_active;
+  check_bool "both sides issued" true (split.(0) > 0 && split.(2) > 0)
+
 let prop_memsys_cost_formula =
   (* Without a cache the coalescing cost is exactly
      base + (lines - 1) * per_transaction. *)
@@ -659,6 +709,7 @@ let tests =
         Alcotest.test_case "no spontaneous merge" `Quick test_interp_no_spontaneous_merge;
         Alcotest.test_case "barriers reconverge" `Quick test_interp_barrier_reconverges;
         Alcotest.test_case "tracer consistency" `Quick test_tracer_consistency;
+        Alcotest.test_case "count table matches the tracer" `Quick test_count_table;
         Alcotest.test_case "config validation" `Quick test_config_validation;
         QCheck_alcotest.to_alcotest prop_memsys_cost_formula;
         QCheck_alcotest.to_alcotest prop_barrier_unit_invariants;
