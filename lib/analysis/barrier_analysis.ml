@@ -24,7 +24,7 @@ let joined_step ~call_waits state inst =
   | Ir.Types.Call { callee; _ } -> Int_set.diff state (call_waits callee)
   | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _ | Ir.Types.Store _
   | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _ | Ir.Types.Rand _
-  | Ir.Types.Randint _ | Ir.Types.Arrived _ -> state
+  | Ir.Types.Randint _ -> state
 
 (* Effect of one instruction on the live-barrier state (backward: the
    state *before* the instruction given the state after it). *)
@@ -35,7 +35,7 @@ let live_step ~call_waits state inst =
   | Ir.Types.Call { callee; _ } -> Int_set.union state (call_waits callee)
   | Ir.Types.Cancel _ | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _
   | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _ | Ir.Types.Rand _
-  | Ir.Types.Randint _ | Ir.Types.Arrived _ -> state
+  | Ir.Types.Randint _ -> state
 
 (* A snapshot of every function's entry-block waits, taken when applied
    to the program. *)
@@ -48,10 +48,10 @@ let entry_waits (p : Ir.Types.program) =
           (fun acc i ->
             match i with
             | Ir.Types.Wait b | Ir.Types.Wait_threshold (b, _) -> Int_set.add b acc
-            | Ir.Types.Join _ | Ir.Types.Rejoin _ | Ir.Types.Cancel _ | Ir.Types.Arrived _
-            | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _
-            | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _
-            | Ir.Types.Rand _ | Ir.Types.Randint _ | Ir.Types.Call _ -> acc)
+            | Ir.Types.Join _ | Ir.Types.Rejoin _ | Ir.Types.Cancel _ | Ir.Types.Bin _
+            | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _ | Ir.Types.Store _
+            | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _ | Ir.Types.Rand _
+            | Ir.Types.Randint _ | Ir.Types.Call _ -> acc)
           Int_set.empty (Ir.Types.block f f.entry).insts
       in
       Hashtbl.replace tbl name waits)

@@ -110,7 +110,7 @@ let held_step sums (s : Held.t) inst =
     let s = Int_set.fold held_drop (sums.entry_waits callee) s in
     Int_set.fold held_add (sums.escapes callee) s
   | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _
-  | T.Rand _ | T.Randint _ | T.Arrived _ -> s
+  | T.Rand _ | T.Randint _ -> s
 
 (* ------------------------------------------------------------------ *)
 (* Must-held domain (double-arrive check)                              *)
@@ -147,7 +147,7 @@ let must_step sums m inst =
       | T.Wait b | T.Wait_threshold (b, _) | T.Cancel b -> Int_set.remove b s
       | T.Call { callee; _ } -> Int_set.diff s (sums.entry_waits callee)
       | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _
-      | T.Rand _ | T.Randint _ | T.Arrived _ -> s)
+      | T.Rand _ | T.Randint _ -> s)
 
 (* ------------------------------------------------------------------ *)
 (* Predicate-aware reachability                                        *)
@@ -175,11 +175,6 @@ let fold_int_bin op x y =
   | T.Rem -> if y = 0 then None else Some (x mod y)
   | T.Min -> Some (min x y)
   | T.Max -> Some (max x y)
-  | T.Land -> Some (x land y)
-  | T.Lor -> Some (x lor y)
-  | T.Lxor -> Some (x lxor y)
-  | T.Shl -> if y < 0 || y > 62 then None else Some (x lsl y)
-  | T.Shr -> if y < 0 || y > 62 then None else Some (x asr y)
   | T.Eq -> bool_ (x = y)
   | T.Ne -> bool_ (x <> y)
   | T.Lt -> bool_ (x < y)
@@ -193,7 +188,6 @@ let fold_int_un op x =
   match (op : T.unop) with
   | T.Neg -> Some (-x)
   | T.Not -> Some (if x = 0 then 1 else 0)
-  | T.Bnot -> Some (lnot x)
   | T.Fneg | T.Itof | T.Ftoi | T.Sqrt | T.Exp | T.Log | T.Sin | T.Cos | T.Fabs -> None
 
 let branch_pruner (f : T.func) =
@@ -219,8 +213,8 @@ let branch_pruner (f : T.func) =
                 | _ -> None)
             | T.Un (op, r, a) ->
               set r (match operand a with Some x -> fold_int_un op x | None -> None)
-            | T.Load (r, _) | T.Tid r | T.Lane r | T.Nthreads r | T.Rand r | T.Randint (r, _)
-            | T.Arrived (r, _) -> set r None
+            | T.Load (r, _) | T.Tid r | T.Lane r | T.Nthreads r | T.Rand r | T.Randint (r, _) ->
+              set r None
             | T.Call { ret = Some r; _ } -> set r None
             | T.Call { ret = None; _ } | T.Store _ | T.Join _ | T.Rejoin _ | T.Wait _
             | T.Wait_threshold _ | T.Cancel _ -> ())
@@ -235,13 +229,19 @@ let branch_pruner (f : T.func) =
 (* Summary fixpoint                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Iterates [escapes]/[may_block] (and the per-function held analyses
-   that depend on them) to a fixpoint. Returns the final summaries plus
-   the held-analysis result for every function, computed against the
-   stable summaries. *)
-let compute_summaries (p : T.program) =
+(* Solves [escapes]/[may_block] and the per-function held analyses that
+   depend on them, over each function's pruned CFG [cfg_of n]. Sweeps
+   run bottom-up, so a callee outside every call cycle is final before
+   its callers read it, and one sweep is exact without recursion. Only
+   a function in a call cycle can have a caller that read it earlier in
+   the sweep, so the sweep repeats while such a summary changes; the
+   last sweep then read nothing stale, and its held results are the
+   ones against the stable summaries. *)
+let compute_summaries (p : T.program) ~cfg_of =
   let names = T.func_names p in
   let cg = Callgraph.build p in
+  let order = Callgraph.bottom_up cg in
+  let recursive = List.filter (Callgraph.is_recursive cg) order in
   let entry_waits = Barrier_analysis.entry_waits p in
   let mb_tbl : (string, Int_set.t) Hashtbl.t = Hashtbl.create 8 in
   let esc_tbl : (string, Int_set.t) Hashtbl.t = Hashtbl.create 8 in
@@ -266,14 +266,13 @@ let compute_summaries (p : T.program) =
         (n, !acc))
       names
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Bottom-up so summaries flow callee-to-caller within one sweep. *)
+  let cycle_changed = ref true in
+  while !cycle_changed do
+    cycle_changed := false;
     List.iter
       (fun n ->
         let f = Hashtbl.find p.T.funcs n in
-        let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
+        let g = cfg_of n in
         let res =
           Held_solver.solve g Dataflow.Forward ~boundary:Held.bottom ~transfer:(fun id st ->
               List.fold_left (held_step sums) st (T.block f id).insts)
@@ -293,29 +292,13 @@ let compute_summaries (p : T.program) =
               Int_set.union acc (Int_set.union (entry_waits callee) (get mb_tbl callee)))
             (List.assoc n local_waits) (Callgraph.callees cg n)
         in
-        if not (Int_set.equal esc (get esc_tbl n)) then begin
+        if not (Int_set.equal esc (get esc_tbl n) && Int_set.equal mb (get mb_tbl n)) then begin
           Hashtbl.replace esc_tbl n esc;
-          changed := true
-        end;
-        if not (Int_set.equal mb (get mb_tbl n)) then begin
           Hashtbl.replace mb_tbl n mb;
-          changed := true
+          if List.mem n recursive then cycle_changed := true
         end)
-      (Callgraph.bottom_up cg)
+      order
   done;
-  (* One final sweep so every cached held result reflects the stable
-     summaries (the last loop iteration may have updated a callee after
-     its caller was analysed). *)
-  List.iter
-    (fun n ->
-      let f = Hashtbl.find p.T.funcs n in
-      let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
-      let res =
-        Held_solver.solve g Dataflow.Forward ~boundary:Held.bottom ~transfer:(fun id st ->
-            List.fold_left (held_step sums) st (T.block f id).insts)
-      in
-      Hashtbl.replace held_results n res)
-    names;
   (sums, fun n -> Hashtbl.find held_results n)
 
 (* ------------------------------------------------------------------ *)
@@ -368,8 +351,15 @@ let check ?(speculative = []) (p : T.program) =
   let add ?(related = []) category slot site message fix =
     findings := { category; slot; site; message; fix; related } :: !findings
   in
-  let sums, held_of = compute_summaries p in
   let names = T.func_names p in
+  let cfgs = Hashtbl.create 8 in
+  List.iter
+    (fun n ->
+      let f = Hashtbl.find p.T.funcs n in
+      Hashtbl.replace cfgs n (Cfg.of_func ~live_edge:(branch_pruner f) f))
+    names;
+  let cfg_of n = Hashtbl.find cfgs n in
+  let sums, held_of = compute_summaries p ~cfg_of in
   (* Directed waits-for edges: (holder, waited) -> first witnessing site. *)
   let edges : (int * int, site) Hashtbl.t = Hashtbl.create 32 in
   let add_edge src dst site =
@@ -384,7 +374,7 @@ let check ?(speculative = []) (p : T.program) =
   List.iter
     (fun n ->
       let f = Hashtbl.find p.T.funcs n in
-      let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
+      let g = cfg_of n in
       let held_res = held_of n in
       let must_res =
         Must_solver.solve g Dataflow.Forward ~boundary:(Must.Known Int_set.empty)
@@ -444,8 +434,8 @@ let check ?(speculative = []) (p : T.program) =
                 Int_set.iter
                   (fun m -> Int_set.iter (fun c -> if c <> m then add_edge c m site) srcs)
                   deeper
-              | T.Call _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _
-              | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> ());
+              | T.Call _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _
+              | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> ());
               held := held_step sums !held inst;
               must := must_step sums !must inst)
             b.insts))
@@ -521,7 +511,7 @@ let check ?(speculative = []) (p : T.program) =
       match Hashtbl.find_opt p.T.funcs sp.sfunc with
       | None -> ()
       | Some f ->
-        let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
+        let g = cfg_of sp.sfunc in
         let jb = if Cfg.mem g sp.join_block then Some (T.block f sp.join_block) else None in
         let joins_here bl =
           List.exists

@@ -31,8 +31,7 @@ let build (p : Ir.Types.program) =
               | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _
               | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Nthreads _
               | Ir.Types.Rand _ | Ir.Types.Randint _ | Ir.Types.Join _ | Ir.Types.Rejoin _
-              | Ir.Types.Wait _ | Ir.Types.Wait_threshold _ | Ir.Types.Cancel _
-              | Ir.Types.Arrived _ -> ())
+              | Ir.Types.Wait _ | Ir.Types.Wait_threshold _ | Ir.Types.Cancel _ -> ())
             b.insts))
     names;
   { names; callee_tbl; caller_tbl; sites }

@@ -31,7 +31,7 @@ let inst_cost w = function
   | Ir.Types.Rand _ | Ir.Types.Randint _ -> w.rand
   | Ir.Types.Call _ -> w.call_overhead
   | Ir.Types.Join _ | Ir.Types.Rejoin _ | Ir.Types.Wait _ | Ir.Types.Wait_threshold _
-  | Ir.Types.Cancel _ | Ir.Types.Arrived _ -> w.barrier
+  | Ir.Types.Cancel _ -> w.barrier
 
 let block_cost w (b : Ir.Types.block) =
   1 + List.fold_left (fun acc i -> acc + inst_cost w i) 0 b.insts
@@ -69,6 +69,6 @@ let func_body_cost w (p : Ir.Types.program) name =
             | Ir.Types.Load _ | Ir.Types.Store _ | Ir.Types.Tid _ | Ir.Types.Lane _
             | Ir.Types.Nthreads _ | Ir.Types.Rand _ | Ir.Types.Randint _ | Ir.Types.Join _
             | Ir.Types.Rejoin _ | Ir.Types.Wait _ | Ir.Types.Wait_threshold _
-            | Ir.Types.Cancel _ | Ir.Types.Arrived _ -> ())
+            | Ir.Types.Cancel _ -> ())
           b.insts);
     !direct

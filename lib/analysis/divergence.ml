@@ -47,8 +47,7 @@ let analyze_func ~callee_div (f : Ir.Types.func) ~params_divergent =
             in
             let intrinsically_div =
               match inst with
-              | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Rand _ | Ir.Types.Randint _
-              | Ir.Types.Arrived _ -> true
+              | Ir.Types.Tid _ | Ir.Types.Lane _ | Ir.Types.Rand _ | Ir.Types.Randint _ -> true
               | Ir.Types.Call { callee; _ } -> callee_div callee
               | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Load _
               | Ir.Types.Store _ | Ir.Types.Nthreads _ | Ir.Types.Join _ | Ir.Types.Rejoin _
@@ -83,7 +82,7 @@ let analyze_func ~callee_div (f : Ir.Types.func) ~params_divergent =
           | Ir.Types.Bin _ | Ir.Types.Un _ | Ir.Types.Mov _ | Ir.Types.Tid _ | Ir.Types.Lane _
           | Ir.Types.Nthreads _ | Ir.Types.Rand _ | Ir.Types.Randint _ | Ir.Types.Call _
           | Ir.Types.Join _ | Ir.Types.Rejoin _ | Ir.Types.Wait _ | Ir.Types.Wait_threshold _
-          | Ir.Types.Cancel _ | Ir.Types.Arrived _ -> ())
+          | Ir.Types.Cancel _ -> ())
         b.insts);
   {
     divergent_regs = !divregs;

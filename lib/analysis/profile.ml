@@ -9,22 +9,6 @@ let record t ~func ~block ~count =
 
 let count t ~func ~block = Option.value (Hashtbl.find_opt t.counts (func, block)) ~default:0
 
-let merge a b =
-  let result = empty () in
-  let copy src =
-    Hashtbl.iter (fun (func, block) c -> record result ~func ~block ~count:c) src.counts
-  in
-  copy a;
-  copy b;
-  result
-
-let trip_estimate t ~func ~header ~entries =
-  let header_freq = count t ~func ~block:header in
-  if header_freq = 0 || entries <= 0 then None
-  else Some (float_of_int header_freq /. float_of_int entries)
-
-let is_empty t = Hashtbl.length t.counts = 0
-
 let pp ppf t =
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts [] in
   List.iter

@@ -16,13 +16,4 @@ val record : t -> func:string -> block:int -> count:int -> unit
 (** [count t ~func ~block] — recorded executions (0 if absent). *)
 val count : t -> func:string -> block:int -> int
 
-(** [merge a b] — new profile with summed counts. *)
-val merge : t -> t -> t
-
-(** [trip_estimate t ~func ~header ~preheader_freq] — average iterations
-    per loop entry estimated as header frequency / entry frequency;
-    [None] when the profile has no data for the header. *)
-val trip_estimate : t -> func:string -> header:int -> entries:int -> float option
-
-val is_empty : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -144,30 +144,6 @@ let abstract_bin op a b =
       | _ -> Any))
   | T.Min -> default (rngs2 (fun (l1, h1) (l2, h2) -> Rng (min l1 l2, min h1 h2)))
   | T.Max -> default (rngs2 (fun (l1, h1) (l2, h2) -> Rng (max l1 l2, max h1 h2)))
-  | T.Land -> (
-    match const2 (fun ca cb -> Some (fold_const (ca land cb))) with
-    | Some v -> v
-    | None -> (
-      (* [x land m] for a non-negative mask lies in [0, m] whatever x is. *)
-      match (as_const a, as_const b) with
-      | _, Some m when m >= 0 -> Rng (0, m)
-      | Some m, _ when m >= 0 -> Rng (0, m)
-      | _ -> Any))
-  | T.Lor | T.Lxor -> (
-    match
-      const2 (fun ca cb ->
-          Some (fold_const (if op = T.Lor then ca lor cb else ca lxor cb)))
-    with
-    | Some v -> v
-    | None -> Any)
-  | T.Shl -> (
-    match const2 (fun ca cb -> if cb < 0 || cb > 40 then None else Some (fold_const (ca lsl cb))) with
-    | Some v -> v
-    | None -> Any)
-  | T.Shr -> (
-    match const2 (fun ca cb -> if cb < 0 || cb > 62 then None else Some (fold_const (ca asr cb))) with
-    | Some v -> v
-    | None -> Any)
   | T.Eq | T.Ne | T.Lt | T.Le | T.Gt | T.Ge | T.Feq | T.Fne | T.Flt | T.Fle | T.Fgt | T.Fge ->
     Rng (0, 1)
   | T.Fadd | T.Fsub | T.Fmul | T.Fdiv | T.Fmin | T.Fmax -> Any
@@ -180,10 +156,6 @@ let abstract_un op a =
     | Rng (l, h) -> Rng (sat_add 0 (-h), sat_add 0 (-l))
     | Any -> Any)
   | T.Not -> Rng (0, 1)
-  | T.Bnot -> (
-    match rng_of a with
-    | Some (l, h) -> Rng (sat_add (-1) (-h), sat_add (-1) (-l))
-    | None -> Any)
   | T.Fneg | T.Itof | T.Ftoi | T.Sqrt | T.Exp | T.Log | T.Sin | T.Cos | T.Fabs -> Any
 
 (* The address slice: every register a load or store address depends on,
@@ -203,7 +175,7 @@ let address_slice (f : T.func) =
           | T.Load (_, a) | T.Store (a, _) -> roots := T.operand_uses a @ !roots
           | T.Bin _ | T.Un _ | T.Mov _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _
           | T.Randint _ | T.Call _ | T.Join _ | T.Rejoin _ | T.Wait _ | T.Wait_threshold _
-          | T.Cancel _ | T.Arrived _ -> ());
+          | T.Cancel _ -> ());
           List.iter (fun d -> deps.(d) <- T.uses inst @ deps.(d)) (T.defs inst))
         b.insts);
   let slot = Array.make n_regs (-1) in
@@ -232,13 +204,13 @@ let step_inst slot env inst =
   | T.Mov (d, x) when tracked d -> env.(slot.(d)) <- eval x
   | (T.Load (d, _) | T.Rand d | T.Call { ret = Some d; _ }) when tracked d -> env.(slot.(d)) <- Any
   | T.Tid d when tracked d -> env.(slot.(d)) <- Aff (0, 1)
-  | (T.Lane d | T.Arrived (d, _)) when tracked d -> env.(slot.(d)) <- Rng (0, inf)
+  | T.Lane d when tracked d -> env.(slot.(d)) <- Rng (0, inf)
   | T.Nthreads d when tracked d -> env.(slot.(d)) <- Rng (1, inf)
   | T.Randint (d, x) when tracked d ->
     env.(slot.(d)) <-
       (match as_const (eval x) with Some k when k > 0 -> Rng (0, k - 1) | _ -> Rng (0, inf))
   | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Rand _ | T.Call _ | T.Tid _ | T.Lane _
-  | T.Arrived _ | T.Nthreads _ | T.Randint _ | T.Store _ | T.Join _ | T.Rejoin _ | T.Wait _
+  | T.Nthreads _ | T.Randint _ | T.Store _ | T.Join _ | T.Rejoin _ | T.Wait _
   | T.Wait_threshold _ | T.Cancel _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -453,8 +425,8 @@ let check ?kernels (p : T.program) =
         Int_set.union keep (Int_set.remove s.s_fentry s.s_exit_roots)
       | Some None | None -> Int_set.add top_root roots)
     | T.Wait_threshold _ (* partial release: does not separate phases *)
-    | T.Cancel _ | T.Join _ | T.Rejoin _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _
-    | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> roots
+    | T.Cancel _ | T.Join _ | T.Rejoin _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _
+    | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> roots
   in
   let process fname =
     let f = Hashtbl.find p.T.funcs fname in
@@ -508,7 +480,7 @@ let check ?kernels (p : T.program) =
                 | Some None | None -> () (* recursive callee: swept separately *))
               | T.Bin _ | T.Un _ | T.Mov _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _
               | T.Randint _ | T.Join _ | T.Rejoin _ | T.Wait _ | T.Wait_threshold _
-              | T.Cancel _ | T.Arrived _ -> ());
+              | T.Cancel _ -> ());
               step_inst slot env inst;
               roots := roots_step fname !roots ~block:b.id ~index inst)
             b.insts

@@ -17,7 +17,6 @@ type opcode =
   | Wait
   | Wait_threshold
   | Cancel
-  | Arrived
   | Call
   | Ret
   | Br
@@ -40,7 +39,6 @@ let opcode_name = function
   | Wait -> "wait"
   | Wait_threshold -> "wait.th"
   | Cancel -> "cancel"
-  | Arrived -> "arrived"
   | Call -> "call"
   | Ret -> "ret"
   | Br -> "br"
@@ -178,11 +176,6 @@ let decode (linear : L.t) =
         op.(pc) <- Cancel;
         a.(pc) <- s;
         lclass.(pc) <- Lc_barrier
-      | T.Arrived (d, s) ->
-        op.(pc) <- Arrived;
-        a.(pc) <- d;
-        b.(pc) <- s;
-        lclass.(pc) <- Lc_barrier
       | T.Call _ ->
         (* The linearizer turns every Call into Lcall. *)
         invalid_arg (Printf.sprintf "Decoded.decode: raw call at pc %d" pc))
@@ -275,7 +268,6 @@ let pp ppf t =
       | Tid | Lane | Nthreads | Rand -> Format.fprintf ppf " r%d" t.a.(pc)
       | Join | Rejoin | Wait | Cancel -> Format.fprintf ppf " b%d" t.a.(pc)
       | Wait_threshold -> Format.fprintf ppf " b%d k=%d" t.a.(pc) t.b.(pc)
-      | Arrived -> Format.fprintf ppf " r%d <- b%d" t.a.(pc) t.b.(pc)
       | Call ->
         let ci = t.calls.(t.a.(pc)) in
         Format.fprintf ppf " %s ->%d regs=%d ret=%s args=(" ci.ccallee ci.centry ci.cn_regs

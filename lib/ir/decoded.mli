@@ -51,7 +51,6 @@ type opcode =
   | Wait  (** a=slot *)
   | Wait_threshold  (** a=slot  b=threshold *)
   | Cancel  (** a=slot *)
-  | Arrived  (** a=dst  b=slot *)
   | Call  (** a=index into [calls] *)
   | Ret  (** a=encoded operand or -1 *)
   | Br  (** a=cond  b=absolute target pc *)

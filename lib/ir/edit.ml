@@ -68,7 +68,6 @@ let rewrite_slot_at (f : T.func) bid idx slot =
           | T.Wait _ -> T.Wait slot
           | T.Wait_threshold (_, k) -> T.Wait_threshold (slot, k)
           | T.Cancel _ -> T.Cancel slot
-          | T.Arrived (d, _) -> T.Arrived (d, slot)
           | other ->
             invalid_arg
               (Format.asprintf "Edit.rewrite_slot_at: %a is not a barrier primitive"

@@ -120,8 +120,8 @@ let linearize (p : program) =
                        callee;
                      })
               | Bin _ | Un _ | Mov _ | Load _ | Store _ | Tid _ | Lane _ | Nthreads _ | Rand _
-              | Randint _ | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _
-              | Arrived _ -> put (Op i))
+              | Randint _ | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ ->
+                put (Op i))
             b.insts;
           (match b.term with
           | Jump t -> if Some t <> next then put (Ljump (pc_of_block t))

@@ -16,11 +16,6 @@ let binop_name = function
   | Rem -> "rem"
   | Min -> "min"
   | Max -> "max"
-  | Land -> "and"
-  | Lor -> "or"
-  | Lxor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
   | Fadd -> "fadd"
   | Fsub -> "fsub"
   | Fmul -> "fmul"
@@ -43,7 +38,6 @@ let binop_name = function
 let unop_name = function
   | Neg -> "neg"
   | Not -> "not"
-  | Bnot -> "bnot"
   | Fneg -> "fneg"
   | Itof -> "itof"
   | Ftoi -> "ftoi"
@@ -78,7 +72,6 @@ let pp_inst ppf = function
   | Wait b -> Format.fprintf ppf "wait.barrier b%d" b
   | Wait_threshold (b, k) -> Format.fprintf ppf "wait.barrier.th b%d, %d" b k
   | Cancel b -> Format.fprintf ppf "cancel.barrier b%d" b
-  | Arrived (d, b) -> Format.fprintf ppf "r%d = arrived b%d" d b
 
 let pp_term ppf = function
   | Jump t -> Format.fprintf ppf "jump bb%d" t

@@ -29,12 +29,6 @@ type binop =
   | Rem
   | Min
   | Max
-  (* bitwise *)
-  | Land
-  | Lor
-  | Lxor
-  | Shl
-  | Shr
   (* float arithmetic *)
   | Fadd
   | Fsub
@@ -60,7 +54,6 @@ type binop =
 type unop =
   | Neg
   | Not (* logical: nonzero -> 0, zero -> 1 *)
-  | Bnot (* bitwise complement *)
   | Fneg
   | Itof
   | Ftoi
@@ -96,9 +89,6 @@ type inst =
          least [threshold] of them have arrived, or all remaining
          participants have arrived or withdrawn. *)
   | Cancel of barrier
-  | Arrived of reg * barrier
-      (* dst <- number of participants currently blocked on the barrier;
-         building block for the literal Figure-6 soft-barrier encoding. *)
 
 type terminator =
   | Jump of block_id
@@ -198,8 +188,7 @@ let defs = function
   | Lane d
   | Nthreads d
   | Rand d
-  | Randint (d, _)
-  | Arrived (d, _) -> [ d ]
+  | Randint (d, _) -> [ d ]
   | Call { ret = Some d; _ } -> [ d ]
   | Call { ret = None; _ } -> []
   | Store _ | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ -> []
@@ -211,7 +200,7 @@ let uses = function
   | Store (a, v) -> operand_uses a @ operand_uses v
   | Call { args; _ } -> List.concat_map operand_uses args
   | Tid _ | Lane _ | Nthreads _ | Rand _ -> []
-  | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ | Arrived _ -> []
+  | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ -> []
 
 let term_uses = function
   | Br { cond; _ } -> operand_uses cond
@@ -220,7 +209,7 @@ let term_uses = function
 
 (* Barrier referenced by an instruction, if any. *)
 let barrier_of = function
-  | Join b | Rejoin b | Wait b | Wait_threshold (b, _) | Cancel b | Arrived (_, b) -> Some b
+  | Join b | Rejoin b | Wait b | Wait_threshold (b, _) | Cancel b -> Some b
   | Bin _ | Un _ | Mov _ | Load _ | Store _ | Tid _ | Lane _ | Nthreads _ | Rand _ | Randint _
   | Call _ -> None
 
@@ -230,9 +219,8 @@ let is_barrier_inst i = Option.is_some (barrier_of i)
    divergence analysis. *)
 let is_float_op = function
   | Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax | Feq | Fne | Flt | Fle | Fgt | Fge -> true
-  | Add | Sub | Mul | Div | Rem | Min | Max | Land | Lor | Lxor | Shl | Shr | Eq | Ne | Lt | Le
-  | Gt | Ge -> false
+  | Add | Sub | Mul | Div | Rem | Min | Max | Eq | Ne | Lt | Le | Gt | Ge -> false
 
 let is_special_unop = function
   | Sqrt | Exp | Log | Sin | Cos -> true
-  | Neg | Not | Bnot | Fneg | Itof | Ftoi | Fabs -> false
+  | Neg | Not | Fneg | Itof | Ftoi | Fabs -> false

@@ -46,8 +46,7 @@ let check_func program ~is_kernel f =
                 err "%s calls %s with %d args (expected %d)" ctx callee (List.length args)
                   (List.length g.params))
           | Bin _ | Un _ | Mov _ | Load _ | Store _ | Tid _ | Lane _ | Nthreads _ | Rand _
-          | Randint _ | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ | Arrived _ ->
-            ())
+          | Randint _ | Join _ | Rejoin _ | Wait _ | Wait_threshold _ | Cancel _ -> ())
         b.insts;
       List.iter (check_reg ctx) (term_uses b.term);
       (match b.term with

@@ -59,7 +59,7 @@ let uniform_accesses (f : T.func) divergence blocks =
           | T.Load (_, a) | T.Store (a, _) -> if uniform_addr a then acc + 1 else acc
           | T.Bin _ | T.Un _ | T.Mov _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _
           | T.Randint _ | T.Call _ | T.Join _ | T.Rejoin _ | T.Wait _ | T.Wait_threshold _
-          | T.Cancel _ | T.Arrived _ -> acc)
+          | T.Cancel _ -> acc)
         acc (T.block f id).insts)
     blocks 0
 

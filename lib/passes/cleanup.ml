@@ -5,8 +5,7 @@ type report = { dce_removed : int; dead_barrier_ops_removed : int }
 
 (* Is the instruction removable when its results are unused? *)
 let pure = function
-  | T.Bin _ | T.Un _ | T.Mov _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Load _ | T.Arrived _ ->
-    true
+  | T.Bin _ | T.Un _ | T.Mov _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Load _ -> true
   (* Rand/Randint advance the per-thread PRNG stream: removing one would
      shift every subsequent draw. Calls, stores and barrier operations
      have observable effects. *)
@@ -73,8 +72,8 @@ let barrier_uses (p : T.program) =
               match i with
               | T.Join x | T.Rejoin x -> joined := ISet.add x !joined
               | T.Wait x | T.Wait_threshold (x, _) -> waited := ISet.add x !waited
-              | T.Cancel _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _
-              | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ | T.Call _ -> ())
+              | T.Cancel _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _
+              | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ | T.Call _ -> ())
             b.insts))
     p.funcs;
   (!joined, !waited)
@@ -92,8 +91,8 @@ let dead_barrier_pass (p : T.program) =
                   match i with
                   | T.Join x | T.Rejoin x | T.Cancel x -> not (ISet.mem x waited)
                   | T.Wait x | T.Wait_threshold (x, _) -> not (ISet.mem x joined)
-                  | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _
-                  | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ | T.Call _ -> false
+                  | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _
+                  | T.Nthreads _ | T.Rand _ | T.Randint _ | T.Call _ -> false
                 in
                 if dead then incr removed;
                 not dead)

@@ -16,8 +16,8 @@ let dynamic_cancel (f : T.func) ~call_waits ~kept ~demoted =
   let waits_on_kept = function
     | T.Wait x | T.Wait_threshold (x, _) -> x = kept
     | T.Call { callee; _ } -> Analysis.Sets.Int_set.mem kept (call_waits callee)
-    | T.Join _ | T.Rejoin _ | T.Cancel _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _
-    | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> false
+    | T.Join _ | T.Rejoin _ | T.Cancel _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _
+    | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> false
   in
   T.iter_blocks f (fun b ->
       let rec rebuild acc = function

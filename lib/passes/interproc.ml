@@ -29,14 +29,13 @@ module Solver = Analysis.Dataflow.Make (Bool_lattice)
 let is_call_to callee = function
   | T.Call { callee = c; _ } -> String.equal c callee
   | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _
-  | T.Rand _ | T.Randint _ | T.Join _ | T.Rejoin _ | T.Wait _ | T.Wait_threshold _ | T.Cancel _
-  | T.Arrived _ -> false
+  | T.Rand _ | T.Randint _ | T.Join _ | T.Rejoin _ | T.Wait _ | T.Wait_threshold _ | T.Cancel _ ->
+    false
 
 let is_join_of b = function
   | T.Join x | T.Rejoin x -> x = b
   | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _
-  | T.Rand _ | T.Randint _ | T.Call _ | T.Wait _ | T.Wait_threshold _ | T.Cancel _
-  | T.Arrived _ -> false
+  | T.Rand _ | T.Randint _ | T.Call _ | T.Wait _ | T.Wait_threshold _ | T.Cancel _ -> false
 
 (* Caller-side analyses with the call instruction acting as the wait:
    liveness (backward: gen = call, kill = join) and membership (forward:

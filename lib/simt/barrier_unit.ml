@@ -59,7 +59,6 @@ let is_participant t b lane =
   check t b lane;
   Mask.mem lane t.participants.(b)
 
-let arrived t b = Mask.count t.waiting.(b)
 let participants t b = t.participants.(b)
 let waiting t b = t.waiting.(b)
 

@@ -41,9 +41,6 @@ val withdraw_lane : t -> int -> int list
 (** [is_participant t b lane]. *)
 val is_participant : t -> int -> int -> bool
 
-(** [arrived t b] — number of lanes currently blocked on [b]. *)
-val arrived : t -> int -> int
-
 val participants : t -> int -> Support.Mask.t
 val waiting : t -> int -> Support.Mask.t
 

@@ -522,9 +522,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     | _ ->
       let fc = dc.(pc) and bop = bops.(pc) in
       let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      (* No lane mutates barrier state under [arrived], so its count is
-         uniform across the group: materialize it once. *)
-      let arrived = if op = D.Arrived then T.I (Barrier_unit.arrived w.barriers fb) else T.I 0 in
       let bits = ref (Mask.bits active) in
       while !bits <> 0 do
         let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
@@ -579,9 +576,6 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
             pc1
           | D.Cancel ->
             Barrier_unit.cancel w.barriers fa th.lane;
-            pc1
-          | D.Arrived ->
-            th.cur_regs.(fa) <- arrived;
             pc1
           | D.Call ->
             let ci = calls.(fa) in

@@ -129,10 +129,6 @@ let access_costn t ~addrs ~n =
       max hit_cost miss_cost
   end
 
-let access_cost t ~addrs =
-  let addrs = Array.of_list addrs in
-  access_costn t ~addrs ~n:(Array.length addrs)
-
 let stats t =
   { reads = t.reads; writes = t.writes; transactions = t.transactions; hits = t.hits;
     misses = t.misses }

@@ -27,15 +27,11 @@ val write : t -> int -> Ir.Types.value -> unit
 
 val size : t -> int
 
-(** [access_cost t ~addrs] — latency in cycles of one warp-level access
-    touching the given per-lane addresses (duplicates allowed), updating
-    cache state and statistics. *)
-val access_cost : t -> addrs:int list -> int
-
-(** [access_costn t ~addrs ~n] — same as {!access_cost} for the addresses
-    in [addrs.(0 .. n-1)]. This is the interpreter's hot-path entry: the
-    caller reuses one scratch array across issues, so no per-access list
-    is built. *)
+(** [access_costn t ~addrs ~n] — latency in cycles of one warp-level
+    access touching the per-lane addresses [addrs.(0 .. n-1)]
+    (duplicates allowed), updating cache state and statistics. The
+    interpreter reuses one scratch array across issues, so no
+    per-access list is built. *)
 val access_costn : t -> addrs:int array -> n:int -> int
 
 val stats : t -> stats

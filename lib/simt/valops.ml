@@ -25,11 +25,6 @@ let binop op a b =
   | Rem, I x, I y -> if y = 0 then raise Division_by_zero else I (x mod y)
   | Min, I x, I y -> I (min x y)
   | Max, I x, I y -> I (max x y)
-  | Land, I x, I y -> I (x land y)
-  | Lor, I x, I y -> I (x lor y)
-  | Lxor, I x, I y -> I (x lxor y)
-  | Shl, I x, I y -> I (x lsl y)
-  | Shr, I x, I y -> I (x asr y)
   | Fadd, F x, F y -> F (x +. y)
   | Fsub, F x, F y -> F (x -. y)
   | Fmul, F x, F y -> F (x *. y)
@@ -48,9 +43,8 @@ let binop op a b =
   | Fle, F x, F y -> bool_val (x <= y)
   | Fgt, F x, F y -> bool_val (x > y)
   | Fge, F x, F y -> bool_val (x >= y)
-  | ( ( Add | Sub | Mul | Div | Rem | Min | Max | Land | Lor | Lxor | Shl | Shr | Fadd | Fsub
-      | Fmul | Fdiv | Fmin | Fmax | Eq | Ne | Lt | Le | Gt | Ge | Feq | Fne | Flt | Fle | Fgt
-      | Fge ),
+  | ( ( Add | Sub | Mul | Div | Rem | Min | Max | Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax | Eq
+      | Ne | Lt | Le | Gt | Ge | Feq | Fne | Flt | Fle | Fgt | Fge ),
       _,
       _ ) -> type_error op a b
 
@@ -62,7 +56,6 @@ let unop op a =
   match (op, a) with
   | Neg, I x -> I (-x)
   | Not, I x -> bool_val (x = 0)
-  | Bnot, I x -> I (lnot x)
   | Fneg, F x -> F (-.x)
   | Itof, I x -> F (float_of_int x)
   | Ftoi, F x -> I (int_of_float x)
@@ -72,7 +65,7 @@ let unop op a =
   | Sin, F x -> F (sin x)
   | Cos, F x -> F (cos x)
   | Fabs, F x -> F (Float.abs x)
-  | (Neg | Not | Bnot | Itof), F _ -> err ()
+  | (Neg | Not | Itof), F _ -> err ()
   | (Fneg | Ftoi | Sqrt | Exp | Log | Sin | Cos | Fabs), I _ -> err ()
 
 let truthy = function I 0 -> false | I _ -> true | F x -> x <> 0.0

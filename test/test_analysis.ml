@@ -664,21 +664,12 @@ kernel k(n: int) {
 
 let test_profile () =
   let pr = Analysis.Profile.empty () in
-  check_bool "empty" true (Analysis.Profile.is_empty pr);
+  check_int "empty is zero" 0 (Analysis.Profile.count pr ~func:"k" ~block:1);
   Analysis.Profile.record pr ~func:"k" ~block:1 ~count:10;
   Analysis.Profile.record pr ~func:"k" ~block:1 ~count:5;
   check_int "accumulates" 15 (Analysis.Profile.count pr ~func:"k" ~block:1);
   check_int "absent is zero" 0 (Analysis.Profile.count pr ~func:"k" ~block:9);
-  let pr2 = Analysis.Profile.empty () in
-  Analysis.Profile.record pr2 ~func:"k" ~block:1 ~count:1;
-  Analysis.Profile.record pr2 ~func:"k" ~block:2 ~count:2;
-  let m = Analysis.Profile.merge pr pr2 in
-  check_int "merge sums" 16 (Analysis.Profile.count m ~func:"k" ~block:1);
-  check_int "merge keeps" 2 (Analysis.Profile.count m ~func:"k" ~block:2);
-  check (Alcotest.option (Alcotest.float 1e-9)) "trip estimate" (Some 8.0)
-    (Analysis.Profile.trip_estimate m ~func:"k" ~header:1 ~entries:2);
-  check (Alcotest.option (Alcotest.float 1e-9)) "trip estimate missing" None
-    (Analysis.Profile.trip_estimate m ~func:"k" ~header:9 ~entries:2)
+  check_int "other functions are apart" 0 (Analysis.Profile.count pr ~func:"f" ~block:1)
 
 let qtest = QCheck_alcotest.to_alcotest
 

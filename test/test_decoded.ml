@@ -155,10 +155,8 @@ let test_barrier_operands () =
   let f = B.create_func p "k" ~params:0 in
   B.set_kernel p "k";
   let b0 = B.fresh_barrier p and b1 = B.fresh_barrier p in
-  let d = B.fresh_reg f in
   B.append f f.T.entry (T.Join b0);
   B.append f f.T.entry (T.Wait_threshold (b1, 3));
-  B.append f f.T.entry (T.Arrived (d, b1));
   B.append f f.T.entry (T.Cancel b0);
   B.append f f.T.entry (T.Wait b0);
   B.set_term f f.T.entry T.Exit;
@@ -173,10 +171,8 @@ let test_barrier_operands () =
   expect 0 D.Join b0 (-1);
   (* slot in [a], threshold in [b] — both plain ints, not encoded operands *)
   expect 1 D.Wait_threshold b1 3;
-  (* arrived: dst register in [a], slot in [b] *)
-  expect 2 D.Arrived d b1;
-  expect 3 D.Cancel b0 (-1);
-  expect 4 D.Wait b0 (-1)
+  expect 2 D.Cancel b0 (-1);
+  expect 3 D.Wait b0 (-1)
 
 (* ---- immediate pool ---- *)
 

@@ -194,6 +194,139 @@ kernel k(n: int) {
   in
   check_int "no verifier errors" 0 (List.length (Ir.Verifier.check_program p))
 
+(* ---- every IR operator has a MiniSIMT spelling ---- *)
+
+(* The matches below have no wildcard, so an operator or instruction
+   added to Ir.Types does not compile here until it names the source
+   that produces it, and the test then checks that the source does. *)
+let binop_spelling : Ir.Types.binop -> string = function
+  | Add -> "i + i"
+  | Sub -> "i - i"
+  | Mul -> "i * i"
+  | Div -> "i / i"
+  | Rem -> "i % i"
+  | Min -> "min(i, i)"
+  | Max -> "max(i, i)"
+  | Fadd -> "r + r"
+  | Fsub -> "r - r"
+  | Fmul -> "r * r"
+  | Fdiv -> "r / r"
+  | Fmin -> "fmin(r, r)"
+  | Fmax -> "fmax(r, r)"
+  | Eq -> "i == i"
+  | Ne -> "i != i"
+  | Lt -> "i < i"
+  | Le -> "i <= i"
+  | Gt -> "i > i"
+  | Ge -> "i >= i"
+  | Feq -> "r == r"
+  | Fne -> "r != r"
+  | Flt -> "r < r"
+  | Fle -> "r <= r"
+  | Fgt -> "r > r"
+  | Fge -> "r >= r"
+
+let unop_spelling : Ir.Types.unop -> string = function
+  | Neg -> "-i"
+  | Not -> "!i"
+  | Fneg -> "-r"
+  | Itof -> "float(i)"
+  | Ftoi -> "int(r)"
+  | Sqrt -> "sqrt(r)"
+  | Exp -> "exp(r)"
+  | Log -> "log(r)"
+  | Sin -> "sin(r)"
+  | Cos -> "cos(r)"
+  | Fabs -> "fabs(r)"
+
+(* An instruction comes from a statement's lowering, or from the
+   synchronization passes: those [Specrecon] finds in a speculative
+   compile of the soft-barrier example. *)
+type origin = Lowering of string | Specrecon
+
+let inst_origin : Ir.Types.inst -> string * origin = function
+  | Bin _ -> ("bin", Lowering "let x = i + i;")
+  | Un _ -> ("un", Lowering "let x = -i;")
+  | Mov _ -> ("mov", Lowering "var x: int = i;")
+  | Load _ -> ("load", Lowering "let x = g[i];")
+  | Store _ -> ("store", Lowering "g[i] = i;")
+  | Tid _ -> ("tid", Lowering "let x = tid();")
+  | Lane _ -> ("lane", Lowering "let x = lane();")
+  | Nthreads _ -> ("nthreads", Lowering "let x = nthreads();")
+  | Rand _ -> ("rand", Lowering "let x = rand();")
+  | Randint _ -> ("randint", Lowering "let x = randint(4);")
+  | Call _ -> ("call", Lowering "h();")
+  | Join _ -> ("join", Specrecon)
+  | Rejoin _ -> ("rejoin", Specrecon)
+  | Wait _ -> ("wait", Specrecon)
+  | Wait_threshold _ -> ("wait.th", Specrecon)
+  | Cancel _ -> ("cancel", Specrecon)
+
+let test_every_operator_spelled () =
+  let open Ir.Types in
+  let lowered body =
+    Low.compile_source
+      (Printf.sprintf
+         "global g: int[8];
+          func h() { }
+          kernel k(i: int, r: float) {
+         \  %s
+          }
+"
+         body)
+  in
+  let insts p =
+    List.concat_map
+      (fun n ->
+        let f = Hashtbl.find p.funcs n in
+        List.concat_map (fun id -> (block f id).insts) (block_ids f))
+      (func_names p)
+  in
+  check_int "the frame alone lowers to no instruction" 0 (List.length (insts (lowered "")));
+  let has what p pred =
+    check_bool (what ^ " is in its lowering") true (List.exists pred (insts p))
+  in
+  List.iter
+    (fun op ->
+      let src = binop_spelling op in
+      has src (lowered ("let x = " ^ src ^ ";")) (function
+        | Bin (o, _, _, _) -> o = op
+        | _ -> false))
+    [
+      Add; Sub; Mul; Div; Rem; Min; Max; Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax; Eq; Ne; Lt; Le;
+      Gt; Ge; Feq; Fne; Flt; Fle; Fgt; Fge;
+    ];
+  List.iter
+    (fun op ->
+      let src = unop_spelling op in
+      has src (lowered ("let x = " ^ src ^ ";")) (function
+        | Un (o, _, _) -> o = op
+        | _ -> false))
+    [ Neg; Not; Fneg; Itof; Ftoi; Sqrt; Exp; Log; Sin; Cos; Fabs ];
+  let specrecon =
+    (Core.Compile.compile Core.Compile.speculative
+       ~source:
+         (In_channel.with_open_bin "../examples/kernels/soft_barrier.simt"
+            In_channel.input_all))
+      .Core.Compile.program
+  in
+  let imm = Imm (I 0) in
+  List.iter
+    (fun sample ->
+      let name, origin = inst_origin sample in
+      let p, where =
+        match origin with
+        | Lowering src -> (lowered src, src)
+        | Specrecon -> (specrecon, "soft_barrier.simt under specrecon")
+      in
+      has (name ^ " from " ^ where) p (fun i -> fst (inst_origin i) = name))
+    [
+      Bin (Add, 0, imm, imm); Un (Neg, 0, imm); Mov (0, imm); Load (0, imm); Store (imm, imm);
+      Tid 0; Lane 0; Nthreads 0; Rand 0; Randint (0, imm);
+      Call { callee = "h"; args = []; ret = None }; Join 0; Rejoin 0; Wait 0;
+      Wait_threshold (0, 1); Cancel 0;
+    ]
+
 (* ---- semantics through the simulator ---- *)
 
 let run_kernel ?(warps = 1) src args =
@@ -377,6 +510,8 @@ let tests =
         Alcotest.test_case "structure errors" `Quick test_lower_structure_errors;
         Alcotest.test_case "dead code dropped" `Quick test_lower_dead_code;
         Alcotest.test_case "verified output" `Quick test_lower_verified;
+        Alcotest.test_case "every IR operator has a spelling" `Quick
+          test_every_operator_spelled;
       ] );
     ( "front.semantics",
       [

@@ -108,6 +108,43 @@ let test_orphan_wait () =
      b0, but no join/rejoin arrives on it anywhere fix=insert join.barrier on every \
      participating path, or delete the orphan primitive hint=remap-slot"
 
+(* Summaries through recursion: [a] joins b0 and returns holding it, and
+   reaches its mutual partner [b] only in its recursive arm. [b] is
+   swept before [a] (bottom-up order breaks the cycle there), so b0
+   escapes [b] only on the second sweep. The kernel then holds b0 and b1
+   after [call b], and its arms wait on them in opposite orders: the
+   waits-for 2-cycle exists only under the second sweep's summaries. *)
+let test_escape_through_recursion () =
+  let p = B.create_program () in
+  let b0 = B.fresh_barrier p and b1 = B.fresh_barrier p in
+  let a = B.create_func p "a" ~params:1 in
+  let n = List.hd a.T.params in
+  let recur = B.add_block a and done_ = B.add_block a in
+  B.append a a.T.entry (T.Join b0);
+  B.set_term a a.T.entry (T.Br { cond = T.Reg n; if_true = recur; if_false = done_ });
+  B.append a recur (T.Call { callee = "b"; args = [ T.Reg n ]; ret = None });
+  B.set_term a recur (T.Jump done_);
+  B.set_term a done_ (T.Ret None);
+  let b = B.create_func p "b" ~params:1 in
+  let m = B.fresh_reg b in
+  B.append b b.T.entry (T.Bin (T.Sub, m, T.Reg (List.hd b.T.params), T.Imm (T.I 1)));
+  B.append b b.T.entry (T.Call { callee = "a"; args = [ T.Reg m ]; ret = None });
+  B.set_term b b.T.entry (T.Ret None);
+  let k = B.create_func p "k" ~params:0 in
+  B.set_kernel p "k";
+  let arm1 = B.add_block k and arm2 = B.add_block k in
+  let c = B.fresh_reg k in
+  List.iter (B.append k k.T.entry)
+    [ T.Join b1; T.Call { callee = "b"; args = [ T.Imm (T.I 2) ]; ret = None }; T.Tid c ];
+  B.set_term k k.T.entry (T.Br { cond = T.Reg c; if_true = arm1; if_false = arm2 });
+  List.iter (B.append k arm1) [ T.Wait b0; T.Wait b1 ];
+  List.iter (B.append k arm2) [ T.Wait b1; T.Wait b0 ];
+  check_render "a slot escaping a call cycle closes a waits-for cycle" p ~speculative:[]
+    "srlint: category=bypassable-wait func=k block=bb2 line=? slot=b0 msg=wait can be \
+     bypassed: slots {b0, b1} form a waits-for cycle (each may block a holder of the next), \
+     so no schedule can fire them fix=break the cycle: cancel or deconflict one of the \
+     slots before its conflicting wait hint=insert-cancel"
+
 (* Join in one arm only, wait at the merge: a speculative placement whose
    BSSY does not dominate its BSYNC, the paper's rule 5. *)
 let test_undominated_wait () =
@@ -315,6 +352,8 @@ let tests =
         Alcotest.test_case "orphan wait" `Quick test_orphan_wait;
         Alcotest.test_case "constant-branch arms pruned" `Quick test_constant_branch_pruned;
         Alcotest.test_case "undominated speculative wait" `Quick test_undominated_wait;
+        Alcotest.test_case "escape through mutual recursion" `Quick
+          test_escape_through_recursion;
         Alcotest.test_case "source-line provenance" `Quick test_provenance_line;
       ] );
     ( "lint.soundness",

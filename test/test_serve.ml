@@ -395,7 +395,7 @@ let corrupt_every_entry dir =
       if Filename.check_suffix f ".art" then begin
         let path = Filename.concat dir f in
         let oc = open_out_bin path in
-        output_string oc "srpersist1 garbage";
+        output_string oc "srpersist2 garbage";
         close_out oc
       end)
     (Sys.readdir dir)
@@ -482,6 +482,55 @@ let test_stats_one_load_per_miss () =
             check_int (Printf.sprintf "capacity %d: phits" cache_capacity) 3 s.phits
           | _ -> Alcotest.fail "the trace's stats line got no stats reply")
         [ 0; 1 ])
+
+(* Rewrite each entry's build field as if another build of the server
+   had written it; the payload and its digest stay valid. *)
+let rebrand_every_entry dir =
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".art" then begin
+        let path = Filename.concat dir f in
+        let ic = open_in_bin path in
+        let raw = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let nl = String.index raw '\n' in
+        let header =
+          match String.split_on_char ' ' (String.sub raw 0 nl) with
+          | m :: build :: rest ->
+            let other = String.map (fun c -> if c = '0' then '1' else '0') build in
+            String.concat " " (m :: other :: rest)
+          | _ -> Alcotest.fail ("unexpected persist header in " ^ f)
+        in
+        let oc = open_out_bin path in
+        output_string oc header;
+        output_string oc (String.sub raw nl (String.length raw - nl));
+        close_out oc
+      end)
+    (Sys.readdir dir)
+
+(* Marshal carries no types: an artifact another build wrote could
+   unmarshal into wrong values. Such an entry is a counted corrupt miss,
+   the run compiles and answers as a fresh compile would, and the entry
+   it stores back serves the next server. *)
+let test_persist_other_build_is_a_miss () =
+  with_temp_dir (fun dir ->
+      let trace = [ P.Run (P.make_request ~id:0 ~warps:1 ~source:ok_source ()); P.Stats 1 ] in
+      let answer () =
+        match Server.submit (Server.create ~cache_capacity:8 ~persist_dir:dir ()) trace with
+        | [ run; P.Stats_reply { phits; pcorrupt; _ } ] ->
+          (P.print_response run, (phits, pcorrupt))
+        | _ -> Alcotest.fail "expected a run response and a stats reply"
+      in
+      let cold, _ = answer () in
+      rebrand_every_entry dir;
+      let foreign, (phits, pcorrupt) = answer () in
+      check_string "another build's entry answers as a fresh compile" cold foreign;
+      check_int "another build's entry serves no hit" 0 phits;
+      check_int "another build's entry is counted corrupt" 1 pcorrupt;
+      let healed, (phits, pcorrupt) = answer () in
+      check_string "the recompiled entry answers the same" cold healed;
+      check_int "the recompiled entry is this build's" 1 phits;
+      check_int "and is not corrupt" 0 pcorrupt)
 
 let loop_source =
   "global out: int[64];\n\n\
@@ -682,6 +731,8 @@ let tests =
           test_persist_corruption_degrades_to_miss;
         Alcotest.test_case "restart answers byte-identical from the store" `Quick
           test_server_persist_restart;
+        Alcotest.test_case "an entry another build wrote is a counted miss" `Quick
+          test_persist_other_build_is_a_miss;
         Alcotest.test_case "deadlines answer and the server survives" `Quick
           test_server_deadline;
         Alcotest.test_case "fuel exhaustion is exit 9 one-shot" `Quick test_deadline_exit_code;

@@ -19,7 +19,7 @@ let test_valops_int () =
   check_bool "div" true (Simt.Valops.binop Div (I 7) (I 2) = I 3);
   check_bool "rem" true (Simt.Valops.binop Rem (I 7) (I 2) = I 1);
   check_bool "min" true (Simt.Valops.binop Min (I 7) (I 2) = I 2);
-  check_bool "shl" true (Simt.Valops.binop Shl (I 1) (I 4) = I 16);
+  check_bool "max" true (Simt.Valops.binop Max (I 7) (I 2) = I 7);
   check_bool "lt true" true (Simt.Valops.binop Lt (I 1) (I 2) = I 1);
   check_bool "lt false" true (Simt.Valops.binop Lt (I 2) (I 1) = I 0);
   (match Simt.Valops.binop Div (I 1) (I 0) with
@@ -71,14 +71,16 @@ let test_memsys_rw () =
 let test_memsys_coalescing () =
   let m = Simt.Memsys.create mem_config ~size:4096 in
   (* all lanes in one 16-word line: one transaction, base latency *)
-  let coalesced = Simt.Memsys.access_cost m ~addrs:(List.init 16 (fun i -> i)) in
+  let coalesced = Simt.Memsys.access_costn m ~addrs:(Array.init 16 Fun.id) ~n:16 in
   check_int "coalesced cost" mem_config.Simt.Config.base_latency coalesced;
   (* 32 lanes hitting 32 distinct lines: 31 extra transactions *)
-  let scattered = Simt.Memsys.access_cost m ~addrs:(List.init 32 (fun i -> i * 16)) in
+  let lines = Array.init 32 (fun i -> i * 16) in
+  let scattered = Simt.Memsys.access_costn m ~addrs:lines ~n:32 in
   check_int "scattered cost"
     (mem_config.Simt.Config.base_latency + (31 * mem_config.Simt.Config.per_transaction))
     scattered;
-  check_int "empty access free" 0 (Simt.Memsys.access_cost m ~addrs:[]);
+  (* only the first [n] addresses are touched *)
+  check_int "empty access free" 0 (Simt.Memsys.access_costn m ~addrs:lines ~n:0);
   let stats = Simt.Memsys.stats m in
   check_int "transactions counted" (1 + 32) stats.Simt.Memsys.transactions
 
@@ -87,15 +89,16 @@ let test_memsys_cache () =
     { mem_config with Simt.Config.cache = Some { Simt.Config.sets = 4; ways = 2; hit_latency = 5 } }
   in
   let m = Simt.Memsys.create config ~size:4096 in
-  let miss_cost = Simt.Memsys.access_cost m ~addrs:[ 0 ] in
+  let touch addr = Simt.Memsys.access_costn m ~addrs:[| addr |] ~n:1 in
+  let miss_cost = touch 0 in
   check_int "first touch misses" config.Simt.Config.base_latency miss_cost;
-  let hit_cost = Simt.Memsys.access_cost m ~addrs:[ 0 ] in
+  let hit_cost = touch 0 in
   check_int "second touch hits" 5 hit_cost;
   (* fill the set until line 0 is evicted: set index = line mod 4, so
      lines 32/64 (i.e. addresses 512, 1024) map to set 0 as line 0 does *)
-  ignore (Simt.Memsys.access_cost m ~addrs:[ 512 ]);
-  ignore (Simt.Memsys.access_cost m ~addrs:[ 1024 ]);
-  let evicted = Simt.Memsys.access_cost m ~addrs:[ 0 ] in
+  ignore (touch 512);
+  ignore (touch 1024);
+  let evicted = touch 0 in
   check_int "evicted misses again" config.Simt.Config.base_latency evicted;
   let stats = Simt.Memsys.stats m in
   check_bool "hits and misses recorded" true
@@ -110,7 +113,7 @@ let test_barrier_basic_fire () =
   check_bool "lane 3 not in" false (Simt.Barrier_unit.is_participant u 0 3);
   Simt.Barrier_unit.block u 0 0 ~threshold:None;
   check_bool "no fire yet" true (Simt.Barrier_unit.fired u 0 = None);
-  check_int "arrived" 1 (Simt.Barrier_unit.arrived u 0);
+  check_int "one waiting" 1 (Mask.count (Simt.Barrier_unit.waiting u 0));
   Simt.Barrier_unit.block u 0 1 ~threshold:None;
   Simt.Barrier_unit.block u 0 2 ~threshold:None;
   (match Simt.Barrier_unit.fired u 0 with
@@ -599,7 +602,7 @@ let prop_memsys_cost_formula =
         List.sort_uniq compare
           (List.map (fun a -> a / mem_config.Simt.Config.line_words) addrs)
       in
-      Simt.Memsys.access_cost m ~addrs
+      Simt.Memsys.access_costn m ~addrs:(Array.of_list addrs) ~n:(List.length addrs)
       = mem_config.Simt.Config.base_latency
         + ((List.length lines - 1) * mem_config.Simt.Config.per_transaction))
 
