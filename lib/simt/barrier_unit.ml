@@ -35,12 +35,12 @@ let cancel t b lane =
   t.participants.(b) <- Mask.remove lane t.participants.(b);
   t.waiting.(b) <- Mask.remove lane t.waiting.(b)
 
-let block ?(now = 0) t b lane ~threshold =
+let block t b lane ~now ~threshold =
   check t b lane;
   if not (Mask.mem lane t.participants.(b)) then
     invalid_arg (Printf.sprintf "Barrier_unit.block: lane %d not participating in b%d" lane b);
   t.waiting.(b) <- Mask.add lane t.waiting.(b);
-  t.threshold.(b).(lane) <- Option.value threshold ~default:(-1);
+  t.threshold.(b).(lane) <- threshold;
   t.arrival.(b).(lane) <- now
 
 let withdraw_lane t lane =

@@ -28,11 +28,13 @@ val join : t -> int -> int -> unit
     {!fired} afterwards. *)
 val cancel : t -> int -> int -> unit
 
-(** [block ?now t b lane ~threshold] — record the lane blocked at a wait
+(** [block t b lane ~now ~threshold] — record the lane blocked at a wait
     on [b], stamping its arrival cycle [now] (for the oldest-arrival
-    yield-victim policy). Callers must only block participant lanes.
-    Check {!fired} afterwards. *)
-val block : ?now:int -> t -> int -> int -> threshold:int option -> unit
+    yield-victim policy). [threshold] is the soft barrier's [k], or [-1]
+    for a hard wait (the unit's own encoding, so a blocking lane boxes
+    nothing). Callers must only block participant lanes. Check {!fired}
+    afterwards. *)
+val block : t -> int -> int -> now:int -> threshold:int -> unit
 
 (** [withdraw_lane t lane] — remove a lane from every barrier (kernel
     exit); returns the barriers it participated in. Check {!fired}. *)

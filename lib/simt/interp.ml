@@ -54,13 +54,14 @@ type thread = {
   mutable status : thread_status;
   mutable ready_at : int;
   (* Convergence-group identity: the index of this thread's group slot in
-     its warp's [gmask] table. Threads co-issue only when they share a
-     group; groups split whenever members head to different places
-     (divergent branch outcomes, barrier blocking) and merge ONLY when a
-     convergence barrier fires. This models Volta behaviour faithfully:
-     diverged threads do not spontaneously reconverge just because their
-     PCs happen to coincide — reconvergence requires a barrier, which is
-     exactly why compilers insert them. *)
+     its warp's [gmask] table, -1 while the thread is parked at a barrier
+     or done. Threads co-issue only when they share a group; groups split
+     whenever members head to different places (divergent branch
+     outcomes, barrier blocking) and merge ONLY when a convergence barrier
+     fires. This models Volta behaviour faithfully: diverged threads do
+     not spontaneously reconverge just because their PCs happen to
+     coincide — reconvergence requires a barrier, which is exactly why
+     compilers insert them. *)
   mutable group : int;
 }
 
@@ -69,16 +70,25 @@ type warp = {
   threads : thread array;
   barriers : Barrier_unit.t;
   mutable rr_pc : int; (* last pc issued by the Round_robin policy *)
-  (* Live convergence groups as a packed table of lane bitmasks: slots
-     [0, n_groups) hold disjoint non-empty masks covering every non-Done
-     thread. Maintained incrementally on split/merge, so the issue path
-     never rebuilds the partition. Invariant: all members of a group
-     share the same pc, status and ready_at — they always transition
-     together, and any divergent transition (branch, return, barrier
-     block) immediately re-partitions the group by destination. *)
+  (* Runnable convergence groups as a packed table of lane bitmasks:
+     slots [0, n_groups) hold disjoint non-empty masks covering every
+     Ready thread. Maintained incrementally on split/merge, so the issue
+     path never rebuilds the partition. Invariant: all members of a group
+     share the same pc and ready_at — they always transition together,
+     and any divergent transition (branch, return, barrier block)
+     immediately re-partitions the group by destination. *)
   gmask : Mask.t array;
   mutable n_groups : int;
-  (* Cached min ready_at over Ready groups (max_int if none), so an idle
+  (* Lanes blocked at a convergence barrier. They sit in no group, so
+     issue selection never scans them; a release regroups them. *)
+  mutable parked : Mask.t;
+  (* Per slot, the member threads in lane order for the mask in [built]:
+     rebuilt at issue time only when the slot's mask moved, so an issue
+     walks an array instead of peeling mask bits. A slot's array is
+     allocated on its first issue. *)
+  members : thread array array;
+  built : Mask.t array;
+  (* Cached min ready_at over the groups (max_int if none), so an idle
      cycle advances time in O(warps) instead of O(warps × lanes).
      [ready_stale] marks the cache dirty after any group mutation. *)
   mutable ready_min : int;
@@ -165,6 +175,9 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
             rr_pc = -1;
             gmask = Array.make config.warp_size Mask.empty;
             n_groups = 1;
+            parked = Mask.empty;
+            members = Array.make config.warp_size [||];
+            built = Array.make config.warp_size Mask.empty;
             ready_min = 0;
             ready_stale = true;
           }
@@ -189,6 +202,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   let part_slot = Array.make config.warp_size 0 in
   let cand_pc = Array.make config.warp_size 0 in
   let cand_mask = Array.make config.warp_size Mask.empty in
+  let cand_slot = Array.make config.warp_size 0 in
   let context w th =
     Printf.sprintf "warp %d lane %d tid %d pc %d" w.wid th.lane th.tid th.pc
   in
@@ -206,34 +220,44 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     | None -> cost
   in
   (* ---- incremental group-table maintenance ---- *)
+  (* Take a thread out of its group; a parked or finished thread has
+     none. *)
   let detach w th =
     let s = th.group in
-    let m = Mask.remove th.lane w.gmask.(s) in
-    w.gmask.(s) <- m;
-    if Mask.is_empty m then begin
-      (* free the slot by moving the last one down *)
-      let last = w.n_groups - 1 in
-      if s <> last then begin
-        w.gmask.(s) <- w.gmask.(last);
-        Mask.iter (fun lane -> w.threads.(lane).group <- s) w.gmask.(s)
-      end;
-      w.n_groups <- last
+    if s >= 0 then begin
+      th.group <- -1;
+      let m = Mask.remove th.lane w.gmask.(s) in
+      w.gmask.(s) <- m;
+      if Mask.is_empty m then begin
+        (* free the slot by moving the last one down; its member list
+           moves with it *)
+        let last = w.n_groups - 1 in
+        if s <> last then begin
+          w.gmask.(s) <- w.gmask.(last);
+          let list = w.members.(s) and built = w.built.(s) in
+          w.members.(s) <- w.members.(last);
+          w.built.(s) <- w.built.(last);
+          w.members.(last) <- list;
+          w.built.(last) <- built;
+          Mask.iter (fun lane -> w.threads.(lane).group <- s) w.gmask.(s)
+        end;
+        w.n_groups <- last
+      end
     end
   in
-  (* Threads that moved together may have landed in different places;
-     re-partition them into fresh groups by destination pc. *)
+  (* Threads that moved together may have landed in different places:
+     park the ones that blocked and re-partition the rest into fresh
+     groups by destination pc. *)
   let regroup w moved =
     w.ready_stale <- true;
-    Mask.iter
-      (fun lane ->
-        let th = w.threads.(lane) in
-        if th.status <> Done then detach w th)
-      moved;
+    Mask.iter (fun lane -> detach w w.threads.(lane)) moved;
     let k = ref 0 in
     Mask.iter
       (fun lane ->
         let th = w.threads.(lane) in
-        if th.status <> Done then begin
+        match th.status with
+        | Blocked -> w.parked <- Mask.add lane w.parked
+        | Ready ->
           let j = ref 0 in
           while !j < !k && part_pc.(!j) <> th.pc do incr j done;
           if !j = !k then begin
@@ -246,13 +270,14 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
           let s = part_slot.(!j) in
           w.gmask.(s) <- Mask.add lane w.gmask.(s);
           th.group <- s
-        end)
+        | Done -> ())
       moved
   in
   (* Wake a set of lanes released from a barrier: the shared tail of an
      organic fire, a yield-recovery release and a fault-injected spurious
      release. Only organic fires count as [barrier_fires]. *)
   let apply_release w released =
+    w.parked <- Mask.diff w.parked released;
     Mask.iter
       (fun lane ->
         let th = w.threads.(lane) in
@@ -292,17 +317,10 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     done;
     !acc
   in
-  (* A warp whose every live group is Blocked can never progress again:
-     barrier state is warp-local, so no other warp can release it. *)
-  let warp_stalled w =
-    w.n_groups > 0
-    &&
-    let ok = ref true in
-    for s = 0 to w.n_groups - 1 do
-      if w.threads.(Mask.lowest w.gmask.(s)).status <> Blocked then ok := false
-    done;
-    !ok
-  in
+  (* A warp with no runnable group but parked lanes can never progress
+     again: barrier state is warp-local, so no other warp can release
+     them. *)
+  let warp_stalled w = w.n_groups = 0 && not (Mask.is_empty w.parked) in
   (* The dynamic waits-for relation among this warp's barriers: barrier
      [c] waits for [b] when a lane [c] still expects (a participant not
      yet arrived) is itself blocked on [b]. A cycle in this relation is
@@ -433,48 +451,41 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       apply_release w released
   in
   (* Blocking and thread exit are the only transitions that can leave a
-     warp with every live group blocked — the barrier and exit arms of
-     [execute] check right here, so a doomed warp is caught at the
-     faulting instruction while other warps keep running. *)
+     warp with only parked lanes — the barrier and exit arms of [execute]
+     check right here, so a doomed warp is caught at the faulting
+     instruction while other warps keep running. *)
   let watchdog w = if warp_stalled w then recover_or_deadlock w in
-  (* Execute one issued group: all lanes of [active] sit at [pc].
+  (* Execute one issued group: all lanes of [active] sit at [pc], and
+     [members.(0 .. n-1)] are its threads in lane order.
 
      This is the threaded-code dispatch the decode stage exists for: one
      match over the opcode column (constant constructors, a flat jump
      table), operands read through the encoded-int scheme, and every
-     lane walk an open-coded peel over the mask bits — no ADT match on
-     the instruction, no closure per issue, no name resolution. Three
+     lane walk a plain loop over the member array — no ADT match on the
+     instruction, no closure per issue, no name resolution. Three
      arms own their shape: loads and stores gather every address, cost
      the access, then commit; waits block or pass each lane, then
      regroup; exit retires lanes. Every other opcode runs in one lane
      walk that computes and advances each lane in a single pass,
      matching the opcode per lane, and then does its per-issue tail. *)
-  let execute w pc active =
+  let execute w pc active members n =
     w.ready_stale <- true;
-    let threads = w.threads in
     let op = dcode.(pc) and fa = da.(pc) and fb = db.(pc) in
     match op with
     | D.Load | D.Store ->
       (* load: a=dst b=addr; store: a=addr b=value *)
       let addr = if op = D.Load then fb else fa in
-      let n = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        addr_buf.(!n) <- Valops.to_int (eval_enc th addr);
-        incr n;
-        bits := !bits land (!bits - 1)
+      for i = 0 to n - 1 do
+        addr_buf.(i) <- Valops.to_int (eval_enc members.(i) addr)
       done;
-      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n:!n) in
+      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n) in
       let pc1 = pc + 1 and ready = !cycle + cost in
       (* Lane order resolves write conflicts: the highest lane wins,
          matching CUDA's unspecified-but-single-winner semantics
          deterministically. *)
-      let i = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        let addr = addr_buf.(!i) in
+      for i = 0 to n - 1 do
+        let th = members.(i) in
+        let addr = addr_buf.(i) in
         (if op = D.Load then begin
            th.cur_regs.(fa) <- Memsys.read memory addr;
            match race with
@@ -487,44 +498,39 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
            | Some rl -> Race_log.on_write rl ~warp:w.wid ~tid:th.tid ~pc ~addr
            | None -> ()
          end);
-        incr i;
         th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
+        th.ready_at <- ready
       done
     | D.Wait | D.Wait_threshold ->
-      let threshold = if op = D.Wait then None else Some fb in
+      let threshold = if op = D.Wait then -1 else fb in
       let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
+      for i = 0 to n - 1 do
+        let th = members.(i) in
         if Barrier_unit.is_participant w.barriers fa th.lane then begin
           th.status <- Blocked;
-          Barrier_unit.block ~now:!cycle w.barriers fa th.lane ~threshold
+          Barrier_unit.block w.barriers fa th.lane ~now:!cycle ~threshold
         end
         else begin
           th.pc <- pc1;
           th.ready_at <- ready
-        end;
-        bits := !bits land (!bits - 1)
+        end
       done;
-      (* blockers and pass-through threads part ways *)
+      (* blockers park, pass-through threads regroup *)
       regroup w active;
       release_fired w fa;
       watchdog w
     | D.Exit ->
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        finish_thread w threads.(Mask.lowest (Mask.of_bits !bits));
-        bits := !bits land (!bits - 1)
+      (* [finish_thread] detaches lanes and may regroup released ones
+         mid-walk; neither touches a member array's contents. *)
+      for i = 0 to n - 1 do
+        finish_thread w members.(i)
       done;
       if metrics.threads_finished < n_threads then watchdog w
     | _ ->
       let fc = dc.(pc) and bop = bops.(pc) in
       let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
+      for i = 0 to n - 1 do
+        let th = members.(i) in
         th.pc <-
           (match op with
           | D.Bin ->
@@ -603,8 +609,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
           | D.Br -> if Valops.truthy (eval_enc th fa) then fb else pc1
           | D.Jump -> fa
           | D.Load | D.Store | D.Wait | D.Wait_threshold | D.Exit -> assert false);
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
+        th.ready_at <- ready
       done;
       (match op with
       | D.Cancel -> release_fired w fa
@@ -615,19 +620,21 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   in
   (* Pick the next (warp, pc, lanes) to issue, rotating over warps.
      Candidates are convergence groups, read straight off the warp's
-     incremental group table; a group is issuable when its (uniform)
-     status is Ready and its ready_at has passed. Candidates are ordered
-     by (pc, lexicographic lane list) — the order the schedule-sensitive
-     policies are defined against. *)
-  let sel_pc = ref 0 and sel_mask = ref Mask.empty and sel_warp = ref 0 in
+     incremental group table, which holds only runnable groups; a group
+     is issuable once its ready_at has passed. Candidates are ordered by
+     (pc, lexicographic lane list) — the order the schedule-sensitive
+     policies are defined against — so the slot a group sits in is never
+     observable. *)
+  let sel_pc = ref 0 and sel_mask = ref Mask.empty and sel_slot = ref 0 and sel_warp = ref 0 in
   let select_group w =
     let k = ref 0 in
     for s = 0 to w.n_groups - 1 do
       let m = w.gmask.(s) in
       let rep = w.threads.(Mask.lowest m) in
-      if rep.status = Ready && rep.ready_at <= !cycle then begin
+      if rep.ready_at <= !cycle then begin
         cand_pc.(!k) <- rep.pc;
         cand_mask.(!k) <- m;
+        cand_slot.(!k) <- s;
         incr k
       end
     done;
@@ -635,7 +642,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     if k = 0 then false
     else begin
       for i = 1 to k - 1 do
-        let pc = cand_pc.(i) and m = cand_mask.(i) in
+        let pc = cand_pc.(i) and m = cand_mask.(i) and s = cand_slot.(i) in
         let j = ref (i - 1) in
         while
           !j >= 0
@@ -644,10 +651,12 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         do
           cand_pc.(!j + 1) <- cand_pc.(!j);
           cand_mask.(!j + 1) <- cand_mask.(!j);
+          cand_slot.(!j + 1) <- cand_slot.(!j);
           decr j
         done;
         cand_pc.(!j + 1) <- pc;
-        cand_mask.(!j + 1) <- m
+        cand_mask.(!j + 1) <- m;
+        cand_slot.(!j + 1) <- s
       done;
       let chosen =
         match config.policy with
@@ -688,6 +697,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       in
       sel_pc := cand_pc.(chosen);
       sel_mask := cand_mask.(chosen);
+      sel_slot := cand_slot.(chosen);
       true
     end
   in
@@ -706,6 +716,33 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       incr i
     done;
     !found
+  in
+  (* The issued slot's member threads in lane order. The array is the
+     slot's cache, rebuilt only when the slot's mask moved since it was
+     built; the rebuild peels the mask without a closure, so an issue
+     allocates nothing here. Only the issue path rebuilds: [regroup] and
+     [detach] may run in the middle of an [execute] walk. *)
+  let members_of w s active =
+    if Mask.equal w.built.(s) active then w.members.(s)
+    else begin
+      let list =
+        if Array.length w.members.(s) > 0 then w.members.(s)
+        else begin
+          let a = Array.make config.warp_size w.threads.(0) in
+          w.members.(s) <- a;
+          a
+        end
+      in
+      let rest = ref active and i = ref 0 in
+      while not (Mask.is_empty !rest) do
+        let lane = Mask.lowest !rest in
+        list.(!i) <- w.threads.(lane);
+        incr i;
+        rest := Mask.remove lane !rest
+      done;
+      w.built.(s) <- active;
+      list
+    end
   in
   (* Once per issue the injector may disturb the issuing warp: fire a
      spurious release (a barrier with waiters releases early, with
@@ -731,6 +768,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     if find_issue () then begin
       let w = warps.(!sel_warp) in
       let pc = !sel_pc and active = !sel_mask in
+      let n = Mask.count active in
       metrics.issues <- metrics.issues + 1;
       if metrics.issues > limit then
         raise
@@ -740,14 +778,14 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
                | Issue_cap -> Printf.sprintf "issue budget %d exhausted" limit
                | Fuel -> Printf.sprintf "fuel %d exhausted" limit ));
       pc_issues.(pc) <- pc_issues.(pc) + 1;
-      pc_lanes.(pc) <- pc_lanes.(pc) + Mask.count active;
+      pc_lanes.(pc) <- pc_lanes.(pc) + n;
       (match tracer with
       | Some observe ->
         observe
           { at_cycle = !cycle; warp = w.wid; pc; active = Mask.to_list active;
             where = lprog.locs.(pc) }
       | None -> ());
-      (try execute w pc active with
+      (try execute w pc active (members_of w !sel_slot active) n with
       | Valops.Type_error msg ->
         raise (Runtime_error (Printf.sprintf "type error at pc %d (warp %d): %s" pc w.wid msg))
       | Division_by_zero ->
@@ -759,7 +797,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     end
     else
       (* Nothing issuable this cycle: advance time to the next ready
-         group, finish, or handle an all-blocked stall. Group uniformity
+         group, finish, or handle an all-parked stall. Group uniformity
          makes the per-warp minimum a min over groups, not lanes, and the
          cache makes the common all-warps-stalled step O(warps). *)
       if metrics.threads_finished >= n_threads then running := false
@@ -771,7 +809,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
             let m = ref max_int in
             for s = 0 to w.n_groups - 1 do
               let rep = w.threads.(Mask.lowest w.gmask.(s)) in
-              if rep.status = Ready && rep.ready_at < !m then m := rep.ready_at
+              if rep.ready_at < !m then m := rep.ready_at
             done;
             w.ready_min <- !m;
             w.ready_stale <- false

@@ -87,9 +87,6 @@ let compare_lex a b =
     else 1
   end
 
-let bits m = m
-let of_bits b = b
-
 let pp ~width ppf m =
   Format.pp_print_string ppf "0b";
   for lane = width - 1 downto 0 do

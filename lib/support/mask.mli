@@ -69,18 +69,9 @@ val lowest : t -> int
 (** [compare_lex a b] orders masks as their ascending lane lists compare
     lexicographically: [compare_lex a b] has the sign of
     [compare (to_list a) (to_list b)]. The interpreter's scheduler uses
-    this to break ties between groups parked at the same pc without
+    this to break ties between runnable groups at the same pc without
     materialising the lists. *)
 val compare_lex : t -> t -> int
-
-(** The raw bitset (lane 0 = bit 0). Escape hatch for the interpreter's
-    issue path, which peels lanes in open-coded loops instead of paying a
-    closure per {!iter}; treat as opaque everywhere else. *)
-val bits : t -> int
-
-(** Inverse of {!bits}. The caller promises the bits came from a mask (or
-    bitwise ops on masks) — no range check is performed. *)
-val of_bits : int -> t
 
 (** Formats as a binary lane string, lane [width-1] first, e.g. [0b0101]
     for lanes {0, 2} at width 4. *)

@@ -111,11 +111,11 @@ let test_barrier_basic_fire () =
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2 ];
   check_bool "participant" true (Simt.Barrier_unit.is_participant u 0 1);
   check_bool "lane 3 not in" false (Simt.Barrier_unit.is_participant u 0 3);
-  Simt.Barrier_unit.block u 0 0 ~threshold:None;
+  Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:(-1);
   check_bool "no fire yet" true (Simt.Barrier_unit.fired u 0 = None);
   check_int "one waiting" 1 (Mask.count (Simt.Barrier_unit.waiting u 0));
-  Simt.Barrier_unit.block u 0 1 ~threshold:None;
-  Simt.Barrier_unit.block u 0 2 ~threshold:None;
+  Simt.Barrier_unit.block u 0 1 ~now:0 ~threshold:(-1);
+  Simt.Barrier_unit.block u 0 2 ~now:0 ~threshold:(-1);
   (match Simt.Barrier_unit.fired u 0 with
   | Some released -> check_int "all released" 3 (Mask.count released)
   | None -> Alcotest.fail "expected fire");
@@ -124,7 +124,7 @@ let test_barrier_basic_fire () =
 let test_barrier_cancel_completes () =
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:4 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:None;
+  Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:(-1);
   check_bool "waiting on lane 1" true (Simt.Barrier_unit.fired u 0 = None);
   Simt.Barrier_unit.cancel u 0 1;
   match Simt.Barrier_unit.fired u 0 with
@@ -134,10 +134,10 @@ let test_barrier_cancel_completes () =
 let test_barrier_threshold () =
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3; 4; 5 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 3);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 3);
+  Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:3;
+  Simt.Barrier_unit.block u 0 1 ~now:0 ~threshold:3;
   check_bool "below threshold holds" true (Simt.Barrier_unit.fired u 0 = None);
-  Simt.Barrier_unit.block u 0 2 ~threshold:(Some 3);
+  Simt.Barrier_unit.block u 0 2 ~now:0 ~threshold:3;
   (match Simt.Barrier_unit.fired u 0 with
   | Some released ->
     check_int "exactly the waiters released" 3 (Mask.count released);
@@ -145,7 +145,7 @@ let test_barrier_threshold () =
     check_int "remaining participants" 3 (Mask.count (Simt.Barrier_unit.participants u 0))
   | None -> Alcotest.fail "threshold should fire");
   (* threshold 0 releases immediately *)
-  Simt.Barrier_unit.block u 0 4 ~threshold:(Some 0);
+  Simt.Barrier_unit.block u 0 4 ~now:0 ~threshold:0;
   match Simt.Barrier_unit.fired u 0 with
   | Some released -> check_int "solo release" 1 (Mask.count released)
   | None -> Alcotest.fail "threshold 0 should fire at once"
@@ -166,8 +166,8 @@ let test_barrier_threshold_withdraw_completes () =
      even though the threshold itself is never met. *)
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 3);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 3);
+  Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:3;
+  Simt.Barrier_unit.block u 0 1 ~now:0 ~threshold:3;
   check_bool "2 of 4 below threshold 3" true (Simt.Barrier_unit.fired u 0 = None);
   ignore (Simt.Barrier_unit.withdraw_lane u 2);
   check_bool "3 participants, 2 blocked: still held" true (Simt.Barrier_unit.fired u 0 = None);
@@ -184,8 +184,8 @@ let test_barrier_cancel_during_threshold () =
      until the full-fire condition takes over. *)
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3; 4 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 4);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 4);
+  Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:4;
+  Simt.Barrier_unit.block u 0 1 ~now:0 ~threshold:4;
   Simt.Barrier_unit.cancel u 0 2;
   Simt.Barrier_unit.cancel u 0 3;
   check_bool "2 blocked of 3 left: held" true (Simt.Barrier_unit.fired u 0 = None);
@@ -201,8 +201,8 @@ let test_barrier_force_release () =
      lanes leave the participation mask, the rest stay). *)
   let u = Simt.Barrier_unit.create ~n_barriers:2 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3 ];
-  Simt.Barrier_unit.block ~now:9 u 0 1 ~threshold:None;
-  Simt.Barrier_unit.block ~now:5 u 0 0 ~threshold:None;
+  Simt.Barrier_unit.block u 0 1 ~now:9 ~threshold:(-1);
+  Simt.Barrier_unit.block u 0 0 ~now:5 ~threshold:(-1);
   check_bool "oldest arrival is the earliest stamp" true
     (Simt.Barrier_unit.oldest_arrival u 0 = Some 5);
   (match Simt.Barrier_unit.force_release u 0 with
@@ -226,7 +226,7 @@ let test_barrier_errors () =
   invalid (fun () -> Simt.Barrier_unit.join u 5 0);
   invalid (fun () -> Simt.Barrier_unit.join u 0 9);
   (* blocking a non-participant is a simulator-usage bug *)
-  invalid (fun () -> Simt.Barrier_unit.block u 0 0 ~threshold:None)
+  invalid (fun () -> Simt.Barrier_unit.block u 0 0 ~now:0 ~threshold:(-1))
 
 (* ---- Metrics ---- *)
 
@@ -627,7 +627,7 @@ let prop_barrier_unit_invariants =
             if
               Simt.Barrier_unit.is_participant u b lane
               && not (Support.Mask.mem lane (Simt.Barrier_unit.waiting u b))
-            then Simt.Barrier_unit.block u b lane ~threshold:None);
+            then Simt.Barrier_unit.block u b lane ~now:0 ~threshold:(-1));
           let w = Simt.Barrier_unit.waiting u b
           and p = Simt.Barrier_unit.participants u b in
           let subset_ok = Support.Mask.subset w p in

@@ -281,6 +281,40 @@ let test_splitmix_copy_split () =
   let c = Splitmix.split a in
   check_bool "split differs" true (Splitmix.next_int64 c <> Splitmix.next_int64 a)
 
+(* Known answers, captured from the boxed-record generator before its
+   state moved into bytes: the first outputs of both constructors
+   through every draw, and of a split-off stream. Every per-thread
+   stream and every fault plan is a function of these. *)
+let test_splitmix_known_answers () =
+  let i64 = Alcotest.(list int64) in
+  let ints = Alcotest.(list int) in
+  let floats = Alcotest.(list (float 0.0)) in
+  let bools = Alcotest.(list bool) in
+  let draw n f g = List.init n (fun _ -> f g) in
+  let known name g ~raw ~ints:i ~floats:f ~bools:b ~split ~after_split =
+    check i64 (name ^ " next_int64") raw (draw 3 Splitmix.next_int64 g);
+    check ints (name ^ " int 1000") i (draw 3 (fun g -> Splitmix.int g 1000) g);
+    check floats (name ^ " float") f (draw 3 Splitmix.float g);
+    check bools (name ^ " bool") b (draw 4 Splitmix.bool g);
+    let s = Splitmix.split g in
+    check i64 (name ^ " split") split (draw 2 Splitmix.next_int64 s);
+    check Alcotest.int64 (name ^ " after split") after_split (Splitmix.next_int64 g)
+  in
+  known "create 42L" (Splitmix.create 42L)
+    ~raw:[ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    ~ints:[ 860; 250; 350 ]
+    ~floats:[ 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ]
+    ~bools:[ false; true; false; false ]
+    ~split:[ -1979294700176912355L; 2672107061431535764L ]
+    ~after_split:(-6176718654468026660L);
+  known "of_ints 42 0 0" (Splitmix.of_ints 42 0 0)
+    ~raw:[ 3370201870272828264L; 3563684007782942589L; -2090823954905221462L ]
+    ~ints:[ 646; 641; 28 ]
+    ~floats:[ 0x1.737217060b651p-1; 0x1.b41b6829c28bcp-3; 0x1.c0b9877dbac7ap-1 ]
+    ~bools:[ true; false; true; false ]
+    ~split:[ 2138614377908751518L; 4900169994193558519L ]
+    ~after_split:1768447228055316966L
+
 let test_splitmix_int_errors () =
   let rng = Splitmix.create 1L in
   Alcotest.check_raises "bound 0" (Invalid_argument "Splitmix.int: bound must be positive")
@@ -413,6 +447,7 @@ let tests =
         Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
         Alcotest.test_case "of_ints distinct" `Quick test_splitmix_of_ints_distinct;
         Alcotest.test_case "copy/split" `Quick test_splitmix_copy_split;
+        Alcotest.test_case "known answers" `Quick test_splitmix_known_answers;
         Alcotest.test_case "int errors" `Quick test_splitmix_int_errors;
         qtest prop_splitmix_int_range;
         qtest prop_splitmix_float_range;
